@@ -2,15 +2,15 @@
 
 Manual agents and replay logs are files of event lines; automatic agents
 push the same lines over TCP.  One line is ``mp,rfid,timestamp_ms[,payload]``.
-Rosters and results are CSV.  The listener may serve many connections but
-always hands events to its sink through one ordered queue.
+Rosters and results are CSV.  The listener may serve many connections on
+one thread and hands events to its sink one at a time, in arrival order.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-import queue
+import selectors
 import socket
 import threading
 from pathlib import Path
@@ -27,6 +27,9 @@ from .runtime import (
 logger = logging.getLogger(__name__)
 
 ROSTER_HEADER = ["id", "rfid", "last_name", "first_name", "gender", "category"]
+
+# longest unterminated line a client may send; real event lines are < 100 bytes
+MAX_LINE_BYTES = 4096
 
 
 class MalformedRowError(Exception):
@@ -153,18 +156,15 @@ def write_event_log(events, path: str | Path) -> None:
 class AutoAgentListener:
     """TCP line-protocol server standing in for automatic measuring devices.
 
-    Every well-formed line is acknowledged with ``OK`` and queued; malformed
-    lines get ``ERR <reason>`` and are skipped without closing the
-    connection.  A single dispatcher thread drains the queue into the sink,
-    so the sink sees events serialized in arrival order no matter how many
-    clients are connected.
+    One thread runs a selector loop over all connections and calls the sink
+    in arrival order.  A line is answered ``OK`` after the sink returns, or
+    ``ERR <reason>`` if it is malformed or the sink raises; the connection
+    stays open.  A client whose unterminated line exceeds ``MAX_LINE_BYTES``,
+    or who leaves replies unread until the kernel takes no more, is cut off.
     """
 
     def __init__(self, port: int, sink):
         self._sink = sink
-        self._queue: queue.Queue = queue.Queue()
-        self._stopping = threading.Event()
-        self._conn_threads: list[threading.Thread] = []
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -173,80 +173,82 @@ class AutoAgentListener:
             self._server.close()
             raise
         self._server.listen()
-        self._server.settimeout(0.2)
+        self._server.setblocking(False)
         self.port = self._server.getsockname()[1]
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._dispatch_thread = threading.Thread(target=self._dispatch_loop, daemon=True)
-        self._accept_thread.start()
-        self._dispatch_thread.start()
+        # stop() writes a byte to _wake_w to end the loop's select()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._server, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._loop, name="easytime-listener", daemon=True)
+        self._thread.start()
         logger.info("listening on port %d", self.port)
 
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, addr = self._server.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                break
-            thread = threading.Thread(target=self._serve, args=(conn, addr), daemon=True)
-            self._conn_threads.append(thread)
-            thread.start()
-
-    def _serve(self, conn: socket.socket, addr) -> None:
-        logger.debug("connection from %s", addr)
-        # short receive timeout so stop() is not held up by idle clients
-        conn.settimeout(0.2)
-        buffer = b""
-        with conn:
-            while not self._stopping.is_set():
-                try:
-                    chunk = conn.recv(4096)
-                except TimeoutError:
-                    continue
-                except OSError:
-                    break
-                if not chunk:
-                    break
-                buffer += chunk
-                while b"\n" in buffer:
-                    raw, buffer = buffer.split(b"\n", 1)
-                    line = raw.decode("ascii", errors="replace").strip()
-                    if not line:
-                        continue
-                    try:
-                        event = parse_event_line(line)
-                    except MalformedEventError as exc:
-                        reply = f"ERR {exc.reason}\n"
-                    else:
-                        self._queue.put(event)
-                        reply = "OK\n"
-                    try:
-                        conn.sendall(reply.encode("ascii"))
-                    except OSError:
+    def _loop(self) -> None:
+        try:
+            while True:
+                for key, _ in self._selector.select():
+                    if key.fileobj is self._wake_r:
                         return
+                    if key.fileobj is self._server:
+                        self._accept()
+                    else:
+                        self._read(key.fileobj, key.data)
+        finally:
+            for key in self._selector.get_map().values():
+                key.fileobj.close()
+            self._selector.close()
+            self._wake_w.close()
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                break
-            try:
-                self._sink(item)
-            except Exception:
-                logger.exception("event sink failed")
+    def _accept(self) -> None:
+        try:
+            conn, addr = self._server.accept()
+        except OSError:  # the client gave up before we got to it
+            return
+        logger.debug("connection from %s", addr)
+        conn.setblocking(False)
+        self._selector.register(conn, selectors.EVENT_READ, bytearray())
+
+    def _read(self, conn: socket.socket, buffer: bytearray) -> None:
+        try:
+            chunk = conn.recv(65536)
+        except OSError:
+            chunk = b""
+        buffer += chunk
+        end = buffer.rfind(b"\n") + 1
+        out = "".join(self._handle(raw) for raw in buffer[:end].split(b"\n") if raw.strip())
+        del buffer[:end]
+        try:
+            # never wait on a client that leaves its replies unread: drop it
+            sent = conn.send(out.encode("ascii", errors="replace")) if out else 0
+        except OSError:
+            sent = 0
+        if not chunk or sent < len(out) or len(buffer) > MAX_LINE_BYTES:
+            self._selector.unregister(conn)
+            conn.close()
+
+    def _handle(self, raw: bytearray) -> str:
+        try:
+            event = parse_event_line(raw.decode("ascii", errors="replace"))
+        except MalformedEventError as exc:
+            return f"ERR {exc.reason}\n"
+        try:
+            self._sink(event)
+        except Exception as exc:
+            logger.exception("event sink failed")
+            return f"ERR {' '.join(str(exc).split())}\n"
+        return "OK\n"
 
     def stop(self) -> None:
-        """Stop accepting, drain queued events into the sink, then return."""
-        self._stopping.set()
+        """Close the server and every connection; lines not yet read get no reply.
+
+        Every ``OK`` already sent was for an event the sink returned from.
+        """
         try:
-            self._server.close()
-        except OSError:
+            self._wake_w.send(b"\0")
+        except OSError:  # the loop has already ended and closed it
             pass
-        for thread in self._conn_threads:
-            thread.join(timeout=2.0)
-        self._queue.put(None)
-        self._dispatch_thread.join(timeout=5.0)
+        self._thread.join()
 
     def __enter__(self) -> "AutoAgentListener":
         return self

@@ -7,6 +7,7 @@ aimed at unknown measuring places), 2 I/O or data-file error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
 import sys
@@ -120,14 +121,18 @@ def _export_results(race, args, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _run_pipeline(args, event_paths, write_journal: bool) -> int:
+def _start(args, event_paths):
+    """Compile, load the roster and replay the event files in timestamp order.
+
+    Returns ``((ast, race), EXIT_OK)``, or ``(None, status)`` after printing why.
+    """
     compiled, status = _compile(args.program, args.dialect)
     if compiled is None:
-        return status
+        return None, status
     ast, state = compiled
     roster, status = _load_roster(args.runners)
     if roster is None:
-        return status
+        return None, status
 
     events = []
     for path in event_paths:
@@ -135,13 +140,13 @@ def _run_pipeline(args, event_paths, write_journal: bool) -> int:
             events.extend(read_event_log(path))
         except OSError as exc:
             print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
-            return EXIT_IO
+            return None, EXIT_IO
         except UnicodeDecodeError:
             print(f"error: {path}: event log must be ASCII", file=sys.stderr)
-            return EXIT_IO
+            return None, EXIT_IO
         except MalformedEventError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_IO
+            return None, EXIT_IO
     events.sort(key=lambda e: e.timestamp_ms)
 
     race = init_race(state, roster)
@@ -151,87 +156,79 @@ def _run_pipeline(args, event_paths, write_journal: bool) -> int:
         race = replay(race, ast, events)
     except UnknownMeasuringPlaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LANG
+        return None, EXIT_LANG
+    return (ast, race), EXIT_OK
 
+
+def cmd_run(args) -> int:
+    started, status = _start(args, args.events)
+    if started is None:
+        return status
+    _, race = started
     out_dir = _out_dir(args)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if write_journal:
-            write_event_log((entry.event for entry in race.log), out_dir / JOURNAL_NAME)
+        write_event_log((entry.event for entry in race.log), out_dir / JOURNAL_NAME)
     except OSError as exc:
         print(f"error: cannot write journal: {exc.strerror}", file=sys.stderr)
         return EXIT_IO
     return _export_results(race, args, out_dir)
 
 
-def cmd_run(args) -> int:
-    return _run_pipeline(args, args.events, write_journal=True)
-
-
 def cmd_results(args) -> int:
-    return _run_pipeline(args, [args.journal], write_journal=False)
+    started, status = _start(args, [args.journal])
+    if started is None:
+        return status
+    return _export_results(started[1], args, _out_dir(args))
 
 
 def cmd_serve(args) -> int:
-    compiled, status = _compile(args.program, args.dialect)
-    if compiled is None:
-        return status
-    ast, state = compiled
-    roster, status = _load_roster(args.runners)
-    if roster is None:
-        return status
-
-    race = init_race(state, roster)
-    for warning in race.warnings:
-        print(f"warning: {warning.message}", file=sys.stderr)
-
     out_dir = _out_dir(args)
+    journal_path = out_dir / JOURNAL_NAME
+    # a restart resumes the journal a previous serve left behind
+    started, status = _start(args, [journal_path] if journal_path.exists() else [])
+    if started is None:
+        return status
+    ast, race = started
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        journal = open(out_dir / JOURNAL_NAME, "w", encoding="ascii")
+        journal = open(journal_path, "a", encoding="ascii")
     except OSError as exc:
         print(f"error: cannot open journal: {exc.strerror}", file=sys.stderr)
         return EXIT_IO
 
-    known_mps = {place.mp_id for place in ast.places}
-    lock = threading.Lock()
-    stop = threading.Event()
-    holder = {"race": race, "applied": 0}
+    applied = 0
+    done = threading.Event()
 
+    # runs on the listener's one thread; the listener acks only after it returns
     def sink(event):
-        with lock:
-            if event.mp_id not in known_mps:
-                print(f"skipping event for unknown mp[{event.mp_id}]", file=sys.stderr)
-                return
-            holder["race"] = apply_event(holder["race"], ast, event)
-            journal.write(format_event(event) + "\n")
-            journal.flush()
-            holder["applied"] += 1
-            if args.snapshot_every and holder["applied"] % args.snapshot_every == 0:
-                _export_results(holder["race"], args, out_dir)
-            if args.stop_after and holder["applied"] >= args.stop_after:
-                stop.set()
+        nonlocal race, applied
+        try:
+            updated = apply_event(race, ast, event)
+        except UnknownMeasuringPlaceError:
+            print(f"skipping event for unknown mp[{event.mp_id}]", file=sys.stderr)
+            return
+        journal.write(format_event(event) + "\n")
+        journal.flush()
+        race = updated  # only once journaled, so live state never runs ahead of the journal
+        applied += 1
+        if args.snapshot_every and applied % args.snapshot_every == 0:
+            _export_results(race, args, out_dir)
+        if applied == args.stop_after:
+            done.set()
 
-    try:
-        listener = listen_auto(args.port, sink)
-    except OSError as exc:
-        print(f"error: cannot bind port {args.port}: {exc.strerror}", file=sys.stderr)
-        journal.close()
-        return EXIT_IO
-
-    print(f"listening on port {listener.port}", flush=True)
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    try:
-        while not stop.wait(0.1):
-            pass
-    except KeyboardInterrupt:
-        pass
-    finally:
-        listener.stop()
-        journal.close()
-
-    with lock:
-        return _export_results(holder["race"], args, out_dir)
+    with journal:
+        try:
+            listener = listen_auto(args.port, sink)
+        except OSError as exc:
+            print(f"error: cannot bind port {args.port}: {exc.strerror}", file=sys.stderr)
+            return EXIT_IO
+        # SIGTERM acts as Ctrl-C; a handler calling done.set() can deadlock done.wait()
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        print(f"listening on port {listener.port}", flush=True)
+        with listener, contextlib.suppress(KeyboardInterrupt):
+            done.wait()
+    return _export_results(race, args, out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:

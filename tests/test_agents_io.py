@@ -8,6 +8,7 @@ import time
 import pytest
 
 from easytime.agents_io import (
+    MAX_LINE_BYTES,
     MalformedEventError,
     MalformedRowError,
     format_event,
@@ -236,6 +237,76 @@ def test_listener_port_in_use():
     with listen_auto(0, sink) as listener:
         with pytest.raises(OSError):
             listen_auto(listener.port, sink)
+
+
+def test_listener_answers_non_ascii_line_and_keeps_connection():
+    sink = Collector()
+    with listen_auto(0, sink) as listener:
+        sock, chat = connect(listener.port)
+        sock.sendall(b"\xff,TAG007,1000\n")
+        assert chat.readline().strip() == "ERR mp '?' is not an integer"
+        chat.write("3,TAG007,61000\n")
+        chat.flush()
+        assert chat.readline().strip() == "OK"
+        sock.close()
+
+
+def test_listener_replies_err_when_sink_raises_and_keeps_connection():
+    seen: list[Event] = []
+
+    def sink(event: Event) -> None:
+        if event.rfid == "BAD":
+            raise ValueError("no such\nrunner")
+        seen.append(event)
+
+    with listen_auto(0, sink) as listener:
+        sock, chat = connect(listener.port)
+        chat.write("3,BAD,1000\n")
+        chat.flush()
+        assert chat.readline().strip() == "ERR no such runner"
+        chat.write("3,TAG007,61000\n")
+        chat.flush()
+        assert chat.readline().strip() == "OK"  # sent only after the sink returned
+        assert seen == [Event(3, "TAG007", 61000)]
+        sock.close()
+
+
+def test_listener_cuts_off_overlong_line_only_for_that_client():
+    sink = Collector()
+    with listen_auto(0, sink) as listener:
+        greedy, _ = connect(listener.port)
+        sock, chat = connect(listener.port)
+        greedy.sendall(b"3,TAG007," + b"9" * MAX_LINE_BYTES)  # never terminated
+        try:
+            closed = greedy.recv(1) == b""
+        except ConnectionResetError:
+            closed = True
+        assert closed
+        for ts in (1000, 2000):
+            chat.write(f"3,TAG007,{ts}\n")
+            chat.flush()
+            assert chat.readline().strip() == "OK"
+        greedy.close()
+        sock.close()
+    assert sink.events == [Event(3, "TAG007", 1000), Event(3, "TAG007", 2000)]
+
+
+def test_listener_adds_no_thread_per_connection():
+    sink = Collector()
+    with listen_auto(0, sink) as listener:
+        clients = []
+        for i in range(20):
+            sock, chat = connect(listener.port)
+            clients.append(sock)
+            chat.write(f"1,TAG{i:03},{i}\n")
+            chat.flush()
+            assert chat.readline().strip() == "OK"
+            if i == 0:
+                with_one = threading.active_count()
+        assert threading.active_count() == with_one
+        for sock in clients:
+            sock.close()
+    assert len(sink.events) == 20
 
 
 # --- results files ----------------------------------------------------

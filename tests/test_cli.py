@@ -14,6 +14,9 @@ from easytime.cli import main
 PROGRAMS = FIXTURES / "programs"
 ROSTERS = FIXTURES / "rosters"
 EVENTS = FIXTURES / "events"
+# `python -m` puts its working directory first on sys.path, so a child
+# started there imports this checkout's package
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args: str) -> int:
@@ -225,13 +228,15 @@ def start_serve(tmp_path, *extra: str) -> tuple[subprocess.Popen, int]:
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        cwd=SRC,
     )
     banner = proc.stdout.readline()
     assert banner.startswith("listening on port "), banner
     return proc, int(banner.rsplit(" ", 1)[1])
 
 
-def push_lines(port: int, lines: list[str]) -> list[str]:
+def push_lines(port: int, lines: list[str], journal: Path | None = None) -> list[str]:
+    """Send lines one at a time; with ``journal``, check each ``OK`` came after the write."""
     replies = []
     with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
         chat = sock.makefile("rw", encoding="ascii", newline="\n")
@@ -239,6 +244,8 @@ def push_lines(port: int, lines: list[str]) -> list[str]:
             chat.write(line + "\n")
             chat.flush()
             replies.append(chat.readline().strip())
+            if journal is not None and replies[-1] == "OK":
+                assert journal.read_text().endswith(line + "\n")
         chat.close()
     return replies
 
@@ -254,10 +261,10 @@ def biathlon_lines() -> list[str]:
 def test_serve_matches_run(tmp_path):
     lines = biathlon_lines()
     proc, port = start_serve(tmp_path, "--stop-after", str(len(lines)))
-    replies = push_lines(port, lines)
+    served = tmp_path / "served"
+    replies = push_lines(port, lines, served / "journal.log")
     assert replies == ["OK"] * len(lines)
     assert proc.wait(timeout=10) == 0
-    served = tmp_path / "served"
 
     ran = tmp_path / "ran"
     run_cli(
@@ -268,6 +275,29 @@ def test_serve_matches_run(tmp_path):
     )
     assert (served / "results.csv").read_bytes() == (ran / "results.csv").read_bytes()
     assert (served / "journal.log").read_bytes() == (ran / "journal.log").read_bytes()
+
+
+def test_serve_restart_after_kill_keeps_every_acked_event(tmp_path):
+    lines = biathlon_lines()
+    journal = tmp_path / "served" / "journal.log"
+    proc, port = start_serve(tmp_path)
+    assert push_lines(port, lines[:6], journal) == ["OK"] * 6
+    proc.kill()
+    proc.communicate(timeout=10)
+
+    proc, port = start_serve(tmp_path, "--stop-after", str(len(lines) - 6))
+    assert push_lines(port, lines[6:], journal) == ["OK"] * (len(lines) - 6)
+    assert proc.wait(timeout=10) == 0
+    assert journal.read_text().splitlines() == lines
+
+    ran = tmp_path / "ran"
+    run_cli(
+        "run", PROGRAMS / "biathlon.ez",
+        "--runners", ROSTERS / "biathlon.csv",
+        "--events", EVENTS / "biathlon.log",
+        "--rank", "RUN", "--out", ran,
+    )
+    assert (tmp_path / "served" / "results.csv").read_bytes() == (ran / "results.csv").read_bytes()
 
 
 def test_serve_journal_rerun_is_byte_identical(tmp_path):
@@ -322,6 +352,7 @@ def test_serve_port_in_use(tmp_path):
             ],
             capture_output=True,
             text=True,
+            cwd=SRC,
             timeout=10,
         )
         assert second.returncode == 2
