@@ -15,14 +15,7 @@ import socket
 import threading
 from pathlib import Path
 
-from .runtime import (
-    GENDERS,
-    DuplicateRfidError,
-    DuplicateRunnerIdError,
-    Event,
-    ResultTable,
-    Runner,
-)
+from .runtime import GENDERS, Event, ResultTable, Runner
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +41,7 @@ class MalformedEventError(Exception):
 
 
 def load_runners(path: str | Path) -> list[Runner]:
-    """Read and validate a roster CSV (exact header, unique ids and rfids)."""
+    """Read and validate a roster CSV; ``init_race`` checks ids and rfids are unique."""
     with open(path, newline="", encoding="ascii") as handle:
         reader = csv.reader(handle)
         rows = list(reader)
@@ -56,8 +49,6 @@ def load_runners(path: str | Path) -> list[Runner]:
         raise MalformedRowError(1, f"header must be {','.join(ROSTER_HEADER)}")
 
     runners: list[Runner] = []
-    seen_rfids: set[str] = set()
-    seen_ids: set[int] = set()
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -78,12 +69,6 @@ def load_runners(path: str | Path) -> list[Runner]:
             raise MalformedRowError(lineno, f"category {raw_category!r} is not an integer") from None
         if category < 0:
             raise MalformedRowError(lineno, f"category must be >= 0, got {category}")
-        if rfid in seen_rfids:
-            raise DuplicateRfidError(f"line {lineno}: rfid {rfid} appears twice")
-        if runner_id in seen_ids:
-            raise DuplicateRunnerIdError(f"line {lineno}: runner id {runner_id} appears twice")
-        seen_rfids.add(rfid)
-        seen_ids.add(runner_id)
         runners.append(Runner(runner_id, rfid, last_name, first_name, gender, category))
     return runners
 

@@ -1,7 +1,11 @@
 """Command-line surface: check, run, serve, results.
 
-Exit codes: 0 success, 1 language error (lex/parse/semantic, plus events
-aimed at unknown measuring places), 2 I/O or data-file error.
+Exit codes: 0 success, 1 language error (lex/parse/semantic, an unknown
+``--rank`` variable, events aimed at unknown measuring places), 2 I/O or
+data-file error.  A failing step raises ``_Failure`` with its exit code and
+message; ``main`` alone prints ``error: <message>`` and returns the code.
+The one failure that does not end a command is a ``serve`` snapshot export,
+which is reported and serving goes on.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from .diagnostics import Diagnostic, ERROR, has_errors
 from .frontend import LexError, ParseError, parse_source
 from .langdef import easytime_base, easytime_pp
 from .runtime import (
+    GROUPINGS,
     DuplicateRfidError,
     DuplicateRunnerIdError,
     UnknownMeasuringPlaceError,
     UnknownVariableError,
     apply_event,
+    check_rank_var,
     init_race,
     race_results,
     replay,
@@ -47,6 +53,14 @@ DIALECTS = ("easytime", "easytime++")
 JOURNAL_NAME = "journal.log"
 
 
+class _Failure(Exception):
+    """Ends the command with exit code ``status``; ``main`` prints a non-empty message."""
+
+    def __init__(self, status: int, message: str = ""):
+        super().__init__(message)
+        self.status = status
+
+
 def _language(dialect: str):
     return easytime_base() if dialect == "easytime" else easytime_pp()
 
@@ -57,145 +71,98 @@ def _read_source(path: str) -> str:
         return handle.read()
 
 
-def _print_front_error(path: str, exc: LexError | ParseError) -> None:
-    code = "LexError" if isinstance(exc, LexError) else "ParseError"
-    diag = Diagnostic(ERROR, code, exc.message, exc.line, exc.column)
-    print(diag.render(path))
+def _read(path, reader, kind: str):
+    """``reader(path)``; file and data errors become exit-2 failures naming ``path``."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise _Failure(EXIT_IO, f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise _Failure(EXIT_IO, f"{path}: {kind} must be ASCII")
+    except (MalformedRowError, MalformedEventError, DuplicateRfidError, DuplicateRunnerIdError) as exc:
+        raise _Failure(EXIT_IO, f"{path}: {exc}")
 
 
 def _compile(path: str, dialect: str):
-    """Parse and analyze; returns (ast, state) or None after printing why."""
+    """Parse and analyze, printing diagnostics; returns (ast, state)."""
+    source = _read(path, _read_source, "program")
     try:
-        source = _read_source(path)
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
-        return None, EXIT_IO
-    lang = _language(dialect)
-    try:
-        ast = parse_source(source, lang)
+        ast = parse_source(source, _language(dialect))
     except (LexError, ParseError) as exc:
-        _print_front_error(path, exc)
-        return None, EXIT_LANG
-    state, diags = analyze(ast)
+        diags = [Diagnostic(ERROR, type(exc).__name__, exc.message, exc.line, exc.column)]
+    else:
+        state, diags = analyze(ast)
     for diag in diags:
         print(diag.render(path))
     if has_errors(diags):
-        return None, EXIT_LANG
-    return (ast, state), EXIT_OK
+        raise _Failure(EXIT_LANG)
+    return ast, state
 
 
-def cmd_check(args) -> int:
-    compiled, status = _compile(args.program, args.dialect)
-    return status
-
-
-def _load_roster(path: str):
-    try:
-        return load_runners(path), EXIT_OK
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
-        return None, EXIT_IO
-    except UnicodeDecodeError:
-        print(f"error: {path}: roster must be ASCII", file=sys.stderr)
-        return None, EXIT_IO
-    except (MalformedRowError, DuplicateRfidError, DuplicateRunnerIdError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, EXIT_IO
+def cmd_check(args) -> None:
+    _compile(args.program, args.dialect)
 
 
 def _out_dir(args) -> Path:
     return Path(args.out or os.environ.get("EASYTIME_OUT", "."))
 
 
-def _export_results(race, args, out_dir: Path) -> int:
-    try:
-        tables = race_results(race, rank_var=args.rank, group_by=args.group)
-    except UnknownVariableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LANG
+def _export_results(race, args, out_dir: Path) -> None:
+    tables = race_results(race, rank_var=args.rank, group_by=args.group)
     try:
         write_results(tables, out_dir)
     except OSError as exc:
-        print(f"error: cannot write results: {exc.strerror}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+        raise _Failure(EXIT_IO, f"cannot write results: {exc.strerror}")
 
 
 def _start(args, event_paths):
-    """Compile, load the roster and replay the event files in timestamp order.
-
-    Returns ``((ast, race), EXIT_OK)``, or ``(None, status)`` after printing why.
-    """
-    compiled, status = _compile(args.program, args.dialect)
-    if compiled is None:
-        return None, status
-    ast, state = compiled
-    roster, status = _load_roster(args.runners)
-    if roster is None:
-        return None, status
+    """Compile, load the roster, check ``--rank``, replay the events by timestamp."""
+    ast, state = _compile(args.program, args.dialect)
+    race = _read(args.runners, lambda path: init_race(state, load_runners(path)), "roster")
+    try:
+        check_rank_var(race.var_names, args.rank)
+    except UnknownVariableError as exc:
+        raise _Failure(EXIT_LANG, str(exc))
 
     events = []
     for path in event_paths:
-        try:
-            events.extend(read_event_log(path))
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
-            return None, EXIT_IO
-        except UnicodeDecodeError:
-            print(f"error: {path}: event log must be ASCII", file=sys.stderr)
-            return None, EXIT_IO
-        except MalformedEventError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return None, EXIT_IO
+        events.extend(_read(path, read_event_log, "event log"))
     events.sort(key=lambda e: e.timestamp_ms)
 
-    race = init_race(state, roster)
     for warning in race.warnings:
         print(f"warning: {warning.message}", file=sys.stderr)
     try:
-        race = replay(race, ast, events)
+        return ast, replay(race, ast, events)
     except UnknownMeasuringPlaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_LANG
-    return (ast, race), EXIT_OK
+        raise _Failure(EXIT_LANG, str(exc))
 
 
-def cmd_run(args) -> int:
-    started, status = _start(args, args.events)
-    if started is None:
-        return status
-    _, race = started
+def cmd_run(args) -> None:
+    _, race = _start(args, args.events)
     out_dir = _out_dir(args)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_event_log((entry.event for entry in race.log), out_dir / JOURNAL_NAME)
     except OSError as exc:
-        print(f"error: cannot write journal: {exc.strerror}", file=sys.stderr)
-        return EXIT_IO
-    return _export_results(race, args, out_dir)
+        raise _Failure(EXIT_IO, f"cannot write journal: {exc.strerror}")
+    _export_results(race, args, out_dir)
 
 
-def cmd_results(args) -> int:
-    started, status = _start(args, [args.journal])
-    if started is None:
-        return status
-    return _export_results(started[1], args, _out_dir(args))
+def cmd_results(args) -> None:
+    _, race = _start(args, [args.journal])
+    _export_results(race, args, _out_dir(args))
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args) -> None:
     out_dir = _out_dir(args)
     journal_path = out_dir / JOURNAL_NAME
     # a restart resumes the journal a previous serve left behind
-    started, status = _start(args, [journal_path] if journal_path.exists() else [])
-    if started is None:
-        return status
-    ast, race = started
+    ast, race = _start(args, [journal_path] if journal_path.exists() else [])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         journal = open(journal_path, "a", encoding="ascii")
     except OSError as exc:
-        print(f"error: cannot open journal: {exc.strerror}", file=sys.stderr)
-        return EXIT_IO
+        raise _Failure(EXIT_IO, f"cannot open journal: {exc.strerror}")
 
     applied = 0
     done = threading.Event()
@@ -213,7 +180,10 @@ def cmd_serve(args) -> int:
         race = updated  # only once journaled, so live state never runs ahead of the journal
         applied += 1
         if args.snapshot_every and applied % args.snapshot_every == 0:
-            _export_results(race, args, out_dir)
+            try:
+                _export_results(race, args, out_dir)
+            except _Failure as exc:  # a failed snapshot is reported, the race goes on
+                print(f"error: {exc}", file=sys.stderr)
         if applied == args.stop_after:
             done.set()
 
@@ -221,14 +191,13 @@ def cmd_serve(args) -> int:
         try:
             listener = listen_auto(args.port, sink)
         except OSError as exc:
-            print(f"error: cannot bind port {args.port}: {exc.strerror}", file=sys.stderr)
-            return EXIT_IO
+            raise _Failure(EXIT_IO, f"cannot bind port {args.port}: {exc.strerror}")
         # SIGTERM acts as Ctrl-C; a handler calling done.set() can deadlock done.wait()
         signal.signal(signal.SIGTERM, signal.default_int_handler)
         print(f"listening on port {listener.port}", flush=True)
         with listener, contextlib.suppress(KeyboardInterrupt):
             done.wait()
-    return _export_results(race, args, out_dir)
+    _export_results(race, args, out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     def outputs(p):
         p.add_argument("--runners", required=True, help="roster CSV")
         p.add_argument("--rank", default=None, help="variable to rank by")
-        p.add_argument("--group", choices=("category", "gender", "category-gender"), default=None)
+        p.add_argument("--group", choices=GROUPINGS, default=None)
         p.add_argument("--out", default=None, help="output directory (default $EASYTIME_OUT or .)")
 
     p_check = sub.add_parser("check", help="compile a program and report diagnostics")
@@ -276,7 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except _Failure as exc:
+        if str(exc):
+            print(f"error: {exc}", file=sys.stderr)
+        return exc.status
+    return EXIT_OK
 
 
 if __name__ == "__main__":

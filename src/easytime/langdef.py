@@ -270,18 +270,6 @@ def validate_language(lang: LanguageDef) -> list[Diagnostic]:
     return diags
 
 
-def format_language(lang: LanguageDef) -> str:
-    """Human-readable dump: one lexicon rule or production per line."""
-    lines = [f"language {lang.name} start {lang.start_symbol}"]
-    for rule in lang.lexicon:
-        lines.append(f"lexicon {rule.name} ::= /{rule.pattern}/")
-    for group in lang.rule_groups.values():
-        for p in group.productions:
-            rhs = " ".join(p.rhs)
-            lines.append(f"rule {group.name} : {p.lhs} ::= {rhs} => {p.action_key}")
-    return "\n".join(lines) + "\n"
-
-
 def easytime_base() -> LanguageDef:
     """The built-in base language for race-timing programs.
 

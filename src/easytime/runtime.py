@@ -16,6 +16,7 @@ from .frontend import Predicate, ProgramAst, Statement
 from .semantics import ARMS, StaticState
 
 GENDERS = ("female", "male")
+GROUPINGS = ("category", "gender", "category-gender")
 
 RunnerVars = dict[str, "int | None"]
 
@@ -97,6 +98,8 @@ def init_race(state: StaticState, roster: list[Runner] | tuple[Runner, ...]) -> 
     Dynamic variables start undefined; other variables take their category
     map's value at the runner's category.  A categorized variable with no arm
     for a runner's category starts undefined and is reported as a warning.
+    Raises DuplicateRfidError or DuplicateRunnerIdError if an rfid or a
+    runner id appears twice in the roster.
     """
     seen_rfids: set[str] = set()
     seen_ids: set[int] = set()
@@ -192,6 +195,12 @@ def replay(race: RaceState, ast: ProgramAst, events) -> RaceState:
     return race
 
 
+def check_rank_var(var_names: tuple[str, ...], rank_var: str | None) -> None:
+    """Raise UnknownVariableError unless ``rank_var`` is None or a program variable."""
+    if rank_var is not None and rank_var not in var_names:
+        raise UnknownVariableError(f"no program variable named {rank_var}")
+
+
 RUNNER_COLUMNS = ("rank", "id", "last_name", "first_name", "gender", "category")
 
 
@@ -202,14 +211,13 @@ def race_results(
 ) -> list[ResultTable]:
     """Result tables, one per group.
 
-    ``group_by`` is None, "category", "gender" or "category-gender".  Rows
-    sort ascending by ``rank_var`` with undefined values last and runner id
-    as tie-break; rank numbers are assigned only to rows with a defined rank
-    value.  Without ``rank_var`` rows are in runner-id order and unranked.
+    ``group_by`` is None or one of ``GROUPINGS``.  Rows sort ascending by
+    ``rank_var`` with undefined values last and runner id as tie-break; rank
+    numbers are assigned only to rows with a defined rank value.  Without
+    ``rank_var`` rows are in runner-id order and unranked.
     """
-    if rank_var is not None and rank_var not in race.var_names:
-        raise UnknownVariableError(f"no program variable named {rank_var}")
-    if group_by not in (None, "category", "gender", "category-gender"):
+    check_rank_var(race.var_names, rank_var)
+    if group_by is not None and group_by not in GROUPINGS:
         raise ValueError(f"unknown grouping {group_by!r}")
 
     groups: dict[tuple, tuple[str, list[Runner]]] = {}

@@ -19,13 +19,7 @@ from easytime.agents_io import (
     write_event_log,
     write_results,
 )
-from easytime.runtime import (
-    DuplicateRfidError,
-    DuplicateRunnerIdError,
-    Event,
-    ResultTable,
-    Runner,
-)
+from easytime.runtime import Event, ResultTable, Runner
 
 
 # --- roster -----------------------------------------------------------
@@ -73,15 +67,6 @@ def test_load_runners_rejects_wrong_field_count(tmp_path):
     with pytest.raises(MalformedRowError) as err:
         load_runners(path)
     assert err.value.line == 2
-
-
-def test_load_runners_rejects_duplicates(tmp_path):
-    dup_rfid = "7,TAG007,Novak,Ana,female,2\n8,TAG007,Kovac,Maja,female,1\n"
-    with pytest.raises(DuplicateRfidError):
-        load_runners(write_roster(tmp_path, dup_rfid))
-    dup_id = "7,TAG007,Novak,Ana,female,2\n7,TAG008,Kovac,Maja,female,1\n"
-    with pytest.raises(DuplicateRunnerIdError):
-        load_runners(write_roster(tmp_path, dup_id))
 
 
 # --- event lines ------------------------------------------------------

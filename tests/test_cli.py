@@ -164,6 +164,22 @@ def test_run_unknown_rank_variable(tmp_path, capsys):
     )
     assert status == 1
     assert "NOPE" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before the replay and the journal
+
+
+def test_run_duplicate_roster_rfid(tmp_path, capsys):
+    roster = tmp_path / "roster.csv"
+    roster.write_text(
+        "id,rfid,last_name,first_name,gender,category\n"
+        "1,CC001,Novak,Ana,female,1\n2,CC001,Horvat,Ivo,male,1\n"
+    )
+    status = run_cli(
+        "run", PROGRAMS / "cyclocross.ez",
+        "--runners", roster,
+        "--events", EVENTS / "cyclocross.log", "--out", tmp_path / "out",
+    )
+    assert status == 2
+    assert capsys.readouterr().err == f"error: {roster}: rfid CC001 appears twice in roster\n"
 
 
 def test_run_uses_env_out_dir(tmp_path, monkeypatch):
@@ -215,16 +231,18 @@ def test_results_reexports_from_journal(tmp_path):
 
 # --- serve ------------------------------------------------------------
 
+def serve_command(out: Path, *args: str) -> list[str]:
+    return [
+        sys.executable, "-m", "easytime.cli",
+        "serve", str(PROGRAMS / "biathlon.ez"),
+        "--runners", str(ROSTERS / "biathlon.csv"),
+        "--out", str(out), *[str(a) for a in args],
+    ]
+
+
 def start_serve(tmp_path, *extra: str) -> tuple[subprocess.Popen, int]:
-    out = tmp_path / "served"
     proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "easytime.cli",
-            "serve", str(PROGRAMS / "biathlon.ez"),
-            "--runners", str(ROSTERS / "biathlon.csv"),
-            "--port", "0", "--rank", "RUN", "--out", str(out),
-            *[str(a) for a in extra],
-        ],
+        serve_command(tmp_path / "served", "--port", "0", "--rank", "RUN", *extra),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -264,7 +282,8 @@ def test_serve_matches_run(tmp_path):
     served = tmp_path / "served"
     replies = push_lines(port, lines, served / "journal.log")
     assert replies == ["OK"] * len(lines)
-    assert proc.wait(timeout=10) == 0
+    proc.communicate(timeout=10)
+    assert proc.returncode == 0
 
     ran = tmp_path / "ran"
     run_cli(
@@ -287,7 +306,8 @@ def test_serve_restart_after_kill_keeps_every_acked_event(tmp_path):
 
     proc, port = start_serve(tmp_path, "--stop-after", str(len(lines) - 6))
     assert push_lines(port, lines[6:], journal) == ["OK"] * (len(lines) - 6)
-    assert proc.wait(timeout=10) == 0
+    proc.communicate(timeout=10)
+    assert proc.returncode == 0
     assert journal.read_text().splitlines() == lines
 
     ran = tmp_path / "ran"
@@ -304,7 +324,8 @@ def test_serve_journal_rerun_is_byte_identical(tmp_path):
     lines = biathlon_lines()
     proc, port = start_serve(tmp_path, "--stop-after", str(len(lines)))
     push_lines(port, lines)
-    assert proc.wait(timeout=10) == 0
+    proc.communicate(timeout=10)
+    assert proc.returncode == 0
     served = tmp_path / "served"
 
     rerun = tmp_path / "rerun"
@@ -323,17 +344,19 @@ def test_serve_skips_unknown_mp_and_keeps_going(tmp_path):
     proc, port = start_serve(tmp_path, "--stop-after", "2")
     replies = push_lines(port, ["9,BI001,100", "1,BI001,5000,2", "3,BI001,20000"])
     assert replies == ["OK"] * 3  # protocol accepts the line; the race skips it
-    assert proc.wait(timeout=10) == 0
+    _, err = proc.communicate(timeout=10)
+    assert proc.returncode == 0
     journal = (tmp_path / "served" / "journal.log").read_text().splitlines()
     assert journal == ["1,BI001,5000,2", "3,BI001,20000"]
-    assert "unknown mp[9]" in proc.stderr.read()
+    assert "unknown mp[9]" in err
 
 
 def test_serve_zero_events(tmp_path):
     proc, _port = start_serve(tmp_path)
     time.sleep(0.3)
     proc.terminate()  # SIGTERM triggers the clean-shutdown path
-    assert proc.wait(timeout=10) == 0
+    proc.communicate(timeout=10)
+    assert proc.returncode == 0
     served = tmp_path / "served"
     assert (served / "journal.log").read_text() == ""
     rows = (served / "results.csv").read_text().splitlines()
@@ -344,12 +367,7 @@ def test_serve_port_in_use(tmp_path):
     proc, port = start_serve(tmp_path)
     try:
         second = subprocess.run(
-            [
-                sys.executable, "-m", "easytime.cli",
-                "serve", str(PROGRAMS / "biathlon.ez"),
-                "--runners", str(ROSTERS / "biathlon.csv"),
-                "--port", str(port), "--out", str(tmp_path / "other"),
-            ],
+            serve_command(tmp_path / "other", "--port", port),
             capture_output=True,
             text=True,
             cwd=SRC,
@@ -359,13 +377,27 @@ def test_serve_port_in_use(tmp_path):
         assert "cannot bind" in second.stderr
     finally:
         proc.terminate()
-        proc.wait(timeout=10)
+        proc.communicate(timeout=10)
+
+
+def test_serve_unknown_rank_fails_before_listening(tmp_path):
+    res = subprocess.run(
+        serve_command(tmp_path / "served", "--port", "0", "--rank", "NOPE", "--snapshot-every", "1"),
+        capture_output=True,
+        text=True,
+        cwd=SRC,
+        timeout=10,
+    )
+    assert res.returncode == 1
+    assert "listening on port" not in res.stdout
+    assert res.stderr == "error: no program variable named NOPE\n"
 
 
 def test_serve_snapshots_periodically(tmp_path):
     lines = biathlon_lines()
     proc, port = start_serve(tmp_path, "--stop-after", str(len(lines)), "--snapshot-every", "3")
     push_lines(port, lines)
-    assert proc.wait(timeout=10) == 0
+    proc.communicate(timeout=10)
+    assert proc.returncode == 0
     # snapshots overwrite in place; final export leaves the file behind
     assert (tmp_path / "served" / "results.csv").exists()

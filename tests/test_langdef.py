@@ -21,7 +21,6 @@ from easytime.langdef import (
     easytime_base,
     easytime_pp,
     easytime_pp_fragment,
-    format_language,
     prod,
     symbol_kind,
     validate_language,
@@ -234,9 +233,3 @@ def test_validate_reports_unmatchable_literal():
     )
     assert any(d.code == "UnmatchableLiteral" for d in validate_language(lang))
 
-
-def test_format_language_lists_rules_and_productions():
-    text = format_language(easytime_pp())
-    assert "language EasyTime++ start PROGRAM" in text
-    assert "lexicon Keyword ::= /(?:var|manual|auto|mp|agnt|upd|dec|true)|(?:category|dynamicvar)/" in text
-    assert "rule Dec : DEC ::= dynamicvar #Identifier ; => dec_dynamic" in text

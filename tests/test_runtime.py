@@ -10,6 +10,7 @@ from easytime.langdef import easytime_base, easytime_pp
 from easytime.runtime import (
     RUNNER_COLUMNS,
     DuplicateRfidError,
+    DuplicateRunnerIdError,
     Event,
     Runner,
     UnknownMeasuringPlaceError,
@@ -73,6 +74,12 @@ def test_init_race_rejects_duplicate_rfid():
     _, state = compiled("biathlon")
     with pytest.raises(DuplicateRfidError):
         init_race(state, [ANA, Runner(5, "TAG001", "Dup", "Tag", "male", 1)])
+
+
+def test_init_race_rejects_duplicate_runner_id():
+    _, state = compiled("biathlon")
+    with pytest.raises(DuplicateRunnerIdError):
+        init_race(state, [ANA, Runner(1, "TAG009", "Dup", "Id", "male", 1)])
 
 
 def test_eval_predicate_truth_table():
