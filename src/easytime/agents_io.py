@@ -154,7 +154,7 @@ class AutoAgentListener:
         self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
             self._server.bind(("0.0.0.0", port))
-        except OSError:
+        except BaseException:  # OSError, or OverflowError for a port out of range
             self._server.close()
             raise
         self._server.listen()
@@ -243,7 +243,7 @@ class AutoAgentListener:
 
 
 def listen_auto(port: int, sink) -> AutoAgentListener:
-    """Start the listener; raises OSError if the port cannot be bound."""
+    """Start the listener; raises OSError if the port cannot be bound (OverflowError past 65535)."""
     return AutoAgentListener(port, sink)
 
 

@@ -200,6 +200,16 @@ def cmd_serve(args) -> None:
     _export_results(race, args, out_dir)
 
 
+def _int_in(values: range, what: str):
+    """An argparse type accepting an integer in ``values``; argparse exits 2 on any other."""
+    def convert(text: str) -> int:
+        with contextlib.suppress(ValueError):
+            if (value := int(text)) in values:
+                return value
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="easytime", description="EasyTime race-timing compiler and runtime")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -227,10 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser("serve", help="listen for live events over TCP")
     common(p_serve)
     outputs(p_serve)
-    p_serve.add_argument("--port", type=int, required=True, help="TCP port (0 picks a free one)")
-    p_serve.add_argument("--snapshot-every", type=int, default=0, metavar="N",
+    count = _int_in(range(sys.maxsize), "an integer >= 0")
+    p_serve.add_argument("--port", type=_int_in(range(65536), "a port from 0 to 65535"),
+                         required=True, help="TCP port (0 picks a free one)")
+    p_serve.add_argument("--snapshot-every", type=count, default=0, metavar="N",
                          help="export results every N applied events")
-    p_serve.add_argument("--stop-after", type=int, default=0, metavar="N",
+    p_serve.add_argument("--stop-after", type=count, default=0, metavar="N",
                          help="shut down after N applied events (for scripted runs)")
     p_serve.set_defaults(func=cmd_serve)
 

@@ -252,9 +252,8 @@ def _describe_selector(selector: tuple) -> str:
 
 
 class _Parser:
-    def __init__(self, grammar: Grammar, tokens: list[Token], handlers: dict):
+    def __init__(self, grammar: Grammar, tokens: list[Token]):
         self.grammar = grammar
-        self.handlers = handlers
         self.tokens = tokens
         self.pos = 0
         if tokens:
@@ -328,7 +327,7 @@ class _Parser:
             position += 1
 
     def _reduce(self, production: Production, children: list, first_token: Token):
-        handler = self.handlers.get(production.action_key)
+        handler = DEFAULT_HANDLERS.get(production.action_key)
         if handler is None:
             raise LookupError(
                 f"no handler registered for action key {production.action_key!r}"
@@ -346,10 +345,10 @@ class _Parser:
             )
 
 
-def parse(tokens: list[Token], lang: LanguageDef, handlers: dict | None = None) -> ProgramAst:
+def parse(tokens: list[Token], lang: LanguageDef) -> ProgramAst:
     """Parse a token stream into a program tree under the given definition."""
     significant = [t for t in tokens if t.kind not in TRIVIA]
-    parser = _Parser(Grammar(lang), significant, handlers or DEFAULT_HANDLERS)
+    parser = _Parser(Grammar(lang), significant)
     result = parser.parse_nonterminal(lang.start_symbol)
     parser.expect_eof()
     return result

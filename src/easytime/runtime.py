@@ -4,13 +4,13 @@ Each runner carries their own copy of the program variables, initialized
 from the static state and the runner's category.  A crossing event selects a
 measuring place and runs its guarded statements in source order against that
 runner's variables; guards see updates made earlier in the same event.
-State transitions are functional: applying an event returns a new race state
-and never mutates the old one.
+``replay`` folds events into a new race state and never mutates the old one;
+``apply_event`` is its one-event case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .frontend import Predicate, ProgramAst, Statement
 from .semantics import ARMS, StaticState
@@ -30,9 +30,8 @@ class DuplicateRunnerIdError(Exception):
 
 
 class UnknownMeasuringPlaceError(Exception):
-    def __init__(self, mp_id: int, index: int | None = None):
-        at = f"event {index}: " if index is not None else ""
-        super().__init__(f"{at}no measuring place {mp_id} in program")
+    def __init__(self, mp_id: int, index: int):
+        super().__init__(f"event {index}: no measuring place {mp_id} in program")
         self.mp_id = mp_id
         self.index = index
 
@@ -101,19 +100,15 @@ def init_race(state: StaticState, roster: list[Runner] | tuple[Runner, ...]) -> 
     Raises DuplicateRfidError or DuplicateRunnerIdError if an rfid or a
     runner id appears twice in the roster.
     """
-    seen_rfids: set[str] = set()
     seen_ids: set[int] = set()
-    for runner in roster:
-        if runner.rfid in seen_rfids:
-            raise DuplicateRfidError(f"rfid {runner.rfid} appears twice in roster")
-        if runner.id in seen_ids:
-            raise DuplicateRunnerIdError(f"runner id {runner.id} appears twice in roster")
-        seen_rfids.add(runner.rfid)
-        seen_ids.add(runner.id)
-
     warnings: list[RaceWarning] = []
     per_runner: dict[str, RunnerVars] = {}
     for runner in roster:
+        if runner.rfid in per_runner:
+            raise DuplicateRfidError(f"rfid {runner.rfid} appears twice in roster")
+        if runner.id in seen_ids:
+            raise DuplicateRunnerIdError(f"runner id {runner.id} appears twice in roster")
+        seen_ids.add(runner.id)
         variables: RunnerVars = {}
         for name, meta in state.env.items():
             if meta.is_dynamic:
@@ -140,59 +135,52 @@ def eval_predicate(pred: Predicate, variables: RunnerVars) -> bool:
 
 
 def apply_event(race: RaceState, ast: ProgramAst, event: Event) -> RaceState:
-    """Run one event through its measuring place's statements.
-
-    Events for rfids not on the roster are logged as unmatched and change
-    nothing else.  Statements execute strictly in source order and each guard
-    sees the effect of earlier statements from the same event.
-    """
-    place = next((p for p in ast.places if p.mp_id == event.mp_id), None)
-    if place is None:
-        raise UnknownMeasuringPlaceError(event.mp_id)
-
-    if event.rfid not in race.per_runner:
-        entry = LogEntry(event, (), matched=False)
-        return replace(race, log=race.log + (entry,))
-
-    variables = dict(race.per_runner[event.rfid])
-    fired: list[Statement] = []
-    warnings: list[RaceWarning] = []
-    for stmt in place.stmts:
-        if not eval_predicate(stmt.pred, variables):
-            continue
-        if stmt.instr == "upd":
-            variables[stmt.target] = (
-                event.payload if event.payload is not None else event.timestamp_ms
-            )
-        else:  # dec
-            current = variables[stmt.target]
-            if current is None:
-                warnings.append(RaceWarning(
-                    event.rfid, stmt.target,
-                    f"dec {stmt.target} skipped: undefined at mp[{event.mp_id}]"
-                    f" t={event.timestamp_ms}"))
-                continue
-            variables[stmt.target] = current - 1
-        fired.append(stmt)
-
-    per_runner = dict(race.per_runner)
-    per_runner[event.rfid] = variables
-    return replace(
-        race,
-        per_runner=per_runner,
-        log=race.log + (LogEntry(event, tuple(fired), matched=True),),
-        warnings=race.warnings + tuple(warnings),
-    )
+    """``replay`` of the one event: a new race state, ``race`` left unchanged."""
+    return replay(race, ast, (event,))
 
 
 def replay(race: RaceState, ast: ProgramAst, events) -> RaceState:
-    """Left fold of apply_event over timestamp-ordered events."""
+    """Run each event, in the order given, through its measuring place's statements.
+
+    Events for rfids not on the roster are logged as unmatched and change
+    nothing else.  Statements execute strictly in source order and each guard
+    sees the effect of earlier statements from the same event.  ``race`` is
+    not mutated, and an event's cost does not grow with the roster.  Raises
+    UnknownMeasuringPlaceError naming the first event aimed at a missing place.
+    """
+    stmts_at = {place.mp_id: place.stmts for place in ast.places}
+    per_runner = dict(race.per_runner)
+    log: list[LogEntry] = []
+    warnings: list[RaceWarning] = []
     for index, event in enumerate(events):
-        try:
-            race = apply_event(race, ast, event)
-        except UnknownMeasuringPlaceError as exc:
-            raise UnknownMeasuringPlaceError(exc.mp_id, index=index) from None
-    return race
+        stmts = stmts_at.get(event.mp_id)
+        if stmts is None:
+            raise UnknownMeasuringPlaceError(event.mp_id, index)
+        if event.rfid not in per_runner:
+            log.append(LogEntry(event, (), matched=False))
+            continue
+        variables = per_runner[event.rfid] = dict(per_runner[event.rfid])
+        reading = event.timestamp_ms if event.payload is None else event.payload
+        fired: list[Statement] = []
+        for stmt in stmts:
+            if not eval_predicate(stmt.pred, variables):
+                continue
+            if stmt.instr == "upd":
+                variables[stmt.target] = reading
+            else:  # dec
+                current = variables[stmt.target]
+                if current is None:
+                    warnings.append(RaceWarning(
+                        event.rfid, stmt.target,
+                        f"dec {stmt.target} skipped: undefined at mp[{event.mp_id}]"
+                        f" t={event.timestamp_ms}"))
+                    continue
+                variables[stmt.target] = current - 1
+            fired.append(stmt)
+        log.append(LogEntry(event, tuple(fired), matched=True))
+
+    return replace(race, per_runner=per_runner, log=race.log + tuple(log),
+                   warnings=race.warnings + tuple(warnings))
 
 
 def check_rank_var(var_names: tuple[str, ...], rank_var: str | None) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import socket
 import threading
@@ -222,6 +223,13 @@ def test_listener_port_in_use():
     with listen_auto(0, sink) as listener:
         with pytest.raises(OSError):
             listen_auto(listener.port, sink)
+
+
+def test_listener_closes_its_socket_when_bind_rejects_the_port():
+    # a leaked socket fails the suite through the ResourceWarning filter
+    with pytest.raises(OverflowError):
+        listen_auto(70000, Collector())
+    gc.collect()
 
 
 def test_listener_answers_non_ascii_line_and_keeps_connection():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from easytime.cli import main
+from easytime.cli import build_parser, main
 
 PROGRAMS = FIXTURES / "programs"
 ROSTERS = FIXTURES / "rosters"
@@ -378,6 +378,19 @@ def test_serve_port_in_use(tmp_path):
     finally:
         proc.terminate()
         proc.communicate(timeout=10)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--port", "70000"), ("--port", "-1"), ("--port", "http"),
+    ("--snapshot-every", "-1"), ("--stop-after", "-1"),
+])
+def test_serve_rejects_out_of_range_numbers_while_parsing_arguments(capsys, option, value):
+    # main parses its arguments before it reads, replays or binds anything;
+    # calling the parser alone keeps a regression here from starting a server
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(["serve", "p.ez", "--runners", "r.csv", "--port", "0", option, value])
+    assert exit_.value.code == 2
+    assert f"argument {option}: expected " in capsys.readouterr().err
 
 
 def test_serve_unknown_rank_fails_before_listening(tmp_path):

@@ -335,3 +335,31 @@ def test_property_dec_only_variables_never_increase():
                         assert new is None
                     else:
                         assert new <= old
+
+
+def test_property_replay_is_a_fold_of_apply_event_and_leaves_its_input_unchanged():
+    rng = random.Random(2718)
+    for _ in range(50):
+        ast, state, roster, events = random_race(rng)
+        # start part-way through, so the input already has log entries and warnings
+        half = len(events) // 2
+        race = replay(init_race(state, roster), ast, events[:half])
+        rest = events[half:]
+        per_runner = {rfid: dict(v) for rfid, v in race.per_runner.items()}
+        log, warnings = race.log, race.warnings
+
+        folded = race
+        for event in rest:
+            folded = apply_event(folded, ast, event)
+        replayed = replay(race, ast, rest)
+        assert replayed.per_runner == folded.per_runner
+        assert replayed.log == folded.log
+        assert replayed.warnings == folded.warnings
+
+        at = rng.randint(0, len(rest))
+        stray = Event(10, rng.choice(roster).rfid, 0)  # random programs use mp ids 1-9
+        with pytest.raises(UnknownMeasuringPlaceError) as err:
+            replay(race, ast, rest[:at] + [stray] + rest[at:])
+        assert err.value.index == at
+        assert race.per_runner == per_runner
+        assert (race.log, race.warnings) == (log, warnings)
