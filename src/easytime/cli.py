@@ -37,11 +37,11 @@ from .runtime import (
     DuplicateRunnerIdError,
     UnknownMeasuringPlaceError,
     UnknownVariableError,
-    apply_event,
     check_rank_var,
     init_race,
     race_results,
     replay,
+    run_statements,
 )
 from .semantics import analyze
 
@@ -166,18 +166,21 @@ def cmd_serve(args) -> None:
 
     applied = 0
     done = threading.Event()
+    stmts_at = {place.mp_id: place.stmts for place in ast.places}
 
     # runs on the listener's one thread; the listener acks only after it returns
     def sink(event):
-        nonlocal race, applied
-        try:
-            updated = apply_event(race, ast, event)
-        except UnknownMeasuringPlaceError:
+        nonlocal applied
+        stmts = stmts_at.get(event.mp_id)
+        if stmts is None:
             print(f"skipping event for unknown mp[{event.mp_id}]", file=sys.stderr)
             return
         journal.write(format_event(event) + "\n")
         journal.flush()
-        race = updated  # only once journaled, so live state never runs ahead of the journal
+        # only once journaled, so live state never runs ahead of the journal; serve owns the
+        # race _start returned, so it updates runners in place and keeps no log or warnings
+        if (variables := race.per_runner.get(event.rfid)) is not None:
+            run_statements(stmts, variables, event, [])
         applied += 1
         if args.snapshot_every and applied % args.snapshot_every == 0:
             try:

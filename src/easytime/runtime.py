@@ -4,8 +4,9 @@ Each runner carries their own copy of the program variables, initialized
 from the static state and the runner's category.  A crossing event selects a
 measuring place and runs its guarded statements in source order against that
 runner's variables; guards see updates made earlier in the same event.
-``replay`` folds events into a new race state and never mutates the old one;
-``apply_event`` is its one-event case.
+``run_statements`` is that step, in place.  ``replay`` folds events through it
+into a new race state and never mutates the old one; ``apply_event`` is its
+one-event case.  ``serve`` owns its race and runs the step on it directly.
 """
 
 from __future__ import annotations
@@ -135,17 +136,42 @@ def eval_predicate(pred: Predicate, variables: RunnerVars) -> bool:
 
 
 def apply_event(race: RaceState, ast: ProgramAst, event: Event) -> RaceState:
-    """``replay`` of the one event: a new race state, ``race`` left unchanged."""
+    """``replay`` of one event; it copies ``race.log``, so ``serve`` runs ``run_statements``."""
     return replay(race, ast, (event,))
+
+
+def run_statements(stmts, variables: RunnerVars, event: Event, warnings: list) -> tuple:
+    """Run ``event``'s place's ``stmts`` in order on one runner's ``variables``, in place.
+
+    Returns the statements that fired; a skipped ``dec`` appends to ``warnings``.
+    """
+    reading = event.timestamp_ms if event.payload is None else event.payload
+    fired: list[Statement] = []
+    for stmt in stmts:
+        if not eval_predicate(stmt.pred, variables):
+            continue
+        if stmt.instr == "upd":
+            variables[stmt.target] = reading
+        else:  # dec
+            current = variables[stmt.target]
+            if current is None:
+                warnings.append(RaceWarning(
+                    event.rfid, stmt.target,
+                    f"dec {stmt.target} skipped: undefined at mp[{event.mp_id}]"
+                    f" t={event.timestamp_ms}"))
+                continue
+            variables[stmt.target] = current - 1
+        fired.append(stmt)
+    return tuple(fired)
 
 
 def replay(race: RaceState, ast: ProgramAst, events) -> RaceState:
     """Run each event, in the order given, through its measuring place's statements.
 
     Events for rfids not on the roster are logged as unmatched and change
-    nothing else.  Statements execute strictly in source order and each guard
-    sees the effect of earlier statements from the same event.  ``race`` is
-    not mutated, and an event's cost does not grow with the roster.  Raises
+    nothing else.  ``race`` is not mutated: each event copies its runner's
+    variables and ``run_statements`` works on the copy, so an event's cost
+    grows with neither the roster nor the log.  Raises
     UnknownMeasuringPlaceError naming the first event aimed at a missing place.
     """
     stmts_at = {place.mp_id: place.stmts for place in ast.places}
@@ -160,24 +186,8 @@ def replay(race: RaceState, ast: ProgramAst, events) -> RaceState:
             log.append(LogEntry(event, (), matched=False))
             continue
         variables = per_runner[event.rfid] = dict(per_runner[event.rfid])
-        reading = event.timestamp_ms if event.payload is None else event.payload
-        fired: list[Statement] = []
-        for stmt in stmts:
-            if not eval_predicate(stmt.pred, variables):
-                continue
-            if stmt.instr == "upd":
-                variables[stmt.target] = reading
-            else:  # dec
-                current = variables[stmt.target]
-                if current is None:
-                    warnings.append(RaceWarning(
-                        event.rfid, stmt.target,
-                        f"dec {stmt.target} skipped: undefined at mp[{event.mp_id}]"
-                        f" t={event.timestamp_ms}"))
-                    continue
-                variables[stmt.target] = current - 1
-            fired.append(stmt)
-        log.append(LogEntry(event, tuple(fired), matched=True))
+        fired = run_statements(stmts, variables, event, warnings)
+        log.append(LogEntry(event, fired, matched=True))
 
     return replace(race, per_runner=per_runner, log=race.log + tuple(log),
                    warnings=race.warnings + tuple(warnings))

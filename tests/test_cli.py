@@ -8,8 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, program_source
+from easytime.agents_io import load_runners, parse_event_line, write_results
 from easytime.cli import build_parser, main
+from easytime.frontend import parse_source
+from easytime.langdef import easytime_pp
+from easytime.runtime import init_race, race_results, replay
+from easytime.semantics import analyze
 
 PROGRAMS = FIXTURES / "programs"
 ROSTERS = FIXTURES / "rosters"
@@ -406,11 +411,51 @@ def test_serve_unknown_rank_fails_before_listening(tmp_path):
     assert res.stderr == "error: no program variable named NOPE\n"
 
 
+def replayed_results_csv(lines: list[str], out: Path) -> bytes:
+    """``results.csv`` from ``race_results(replay(...))`` over ``lines`` in the order given."""
+    ast = parse_source(program_source("biathlon"), easytime_pp())
+    state, _ = analyze(ast)
+    race = init_race(state, load_runners(ROSTERS / "biathlon.csv"))
+    race = replay(race, ast, [parse_event_line(line) for line in lines])
+    write_results(race_results(race, rank_var="RUN"), out)
+    return (out / "results.csv").read_bytes()
+
+
 def test_serve_snapshots_periodically(tmp_path):
     lines = biathlon_lines()
     proc, port = start_serve(tmp_path, "--stop-after", str(len(lines)), "--snapshot-every", "3")
-    push_lines(port, lines)
+    served = tmp_path / "served"
+    for n, line in enumerate(lines, 1):
+        assert push_lines(port, [line]) == ["OK"]
+        # the snapshot is written before the OK, and the next one only after our next line
+        if n % 3 == 0:
+            expected = replayed_results_csv(lines[:n], tmp_path / f"replayed{n}")
+            assert (served / "results.csv").read_bytes() == expected, n
     proc.communicate(timeout=10)
     assert proc.returncode == 0
-    # snapshots overwrite in place; final export leaves the file behind
-    assert (tmp_path / "served" / "results.csv").exists()
+    assert (served / "results.csv").read_bytes() == replayed_results_csv(lines, tmp_path / "final")
+
+
+def test_serve_journals_unmatched_rfids_like_run(tmp_path):
+    lines = biathlon_lines()
+    # rfids not on the roster, in timestamp order among the real ones, so run keeps the order
+    lines[1:1] = ["1,GHOST,5500,3"]
+    lines[6:6] = ["3,NOBODY,19000"]
+    lines.append("3,GHOST,60000")
+    proc, port = start_serve(tmp_path, "--stop-after", str(len(lines)))
+    served = tmp_path / "served"
+    assert push_lines(port, lines, served / "journal.log") == ["OK"] * len(lines)
+    proc.communicate(timeout=10)
+    assert proc.returncode == 0
+
+    log = tmp_path / "events.log"
+    log.write_text("".join(line + "\n" for line in lines))
+    ran = tmp_path / "ran"
+    status = run_cli(
+        "run", PROGRAMS / "biathlon.ez",
+        "--runners", ROSTERS / "biathlon.csv",
+        "--events", log, "--rank", "RUN", "--out", ran,
+    )
+    assert status == 0
+    assert (served / "journal.log").read_bytes() == (ran / "journal.log").read_bytes()
+    assert (served / "results.csv").read_bytes() == (ran / "results.csv").read_bytes()

@@ -20,6 +20,7 @@ from easytime.runtime import (
     init_race,
     race_results,
     replay,
+    run_statements,
 )
 from easytime.semantics import analyze
 
@@ -363,3 +364,28 @@ def test_property_replay_is_a_fold_of_apply_event_and_leaves_its_input_unchanged
         assert err.value.index == at
         assert race.per_runner == per_runner
         assert (race.log, race.warnings) == (log, warnings)
+
+
+def test_property_in_place_steps_equal_replay():
+    # the law "live state equals a replay of the journal", for in-order arrival:
+    # serve folds each event through run_statements on the race it owns
+    rng = random.Random(1729)
+    ghosts = skipped_decs = 0
+    for _ in range(50):
+        ast, state, roster, events = random_race(rng)
+        stmts_at = {place.mp_id: place.stmts for place in ast.places}
+        live = init_race(state, roster)
+        warnings, fired = list(live.warnings), []
+        for event in events:
+            variables = live.per_runner.get(event.rfid)
+            if variables is None:
+                fired.append(())
+            else:
+                fired.append(run_statements(stmts_at[event.mp_id], variables, event, warnings))
+        replayed = replay(init_race(state, roster), ast, events)
+        assert live.per_runner == replayed.per_runner
+        assert tuple(warnings) == replayed.warnings
+        assert fired == [entry.fired for entry in replayed.log]
+        ghosts += sum(not entry.matched for entry in replayed.log)
+        skipped_decs += len(warnings) - len(live.warnings)
+    assert ghosts and skipped_decs  # both branches were exercised
