@@ -3,11 +3,14 @@
 ``tokenize`` applies a lexicon with maximal munch (longest match wins, ties
 broken by rule priority) and emits every character of the source as a token,
 including whitespace and comments, so the token stream reproduces the input
-exactly.  ``parse`` interprets the definition's productions directly with a
-deterministic single-token-lookahead descent: alternatives sharing a prefix
-are parsed together until the lookahead separates them.  Semantic values are
-built bottom-up by handlers looked up per production action key, which is
-what makes an overridden rule group change the produced syntax tree.
+exactly.  ``parse`` is one table-driven loop with single-token lookahead:
+each call derives a prediction trie per nonterminal from the definition's
+productions, alternatives sharing a prefix share a trie path until the
+lookahead separates them, and an explicit stack replaces recursion, so how
+deeply a program nests is bounded by memory and not by the recursion limit.
+Semantic values are built bottom-up by handlers looked up per production
+action key, which is what makes an overridden rule group change the
+produced syntax tree.
 """
 
 from __future__ import annotations
@@ -148,14 +151,6 @@ def _selector(symbol: str) -> tuple:
     return ("kind", symbol[1:]) if symbol.startswith("#") else ("lit", symbol)
 
 
-def _matches(selector: tuple, token: Token) -> bool:
-    if selector[0] == "lit":
-        return token.text == selector[1]
-    if selector[0] == "kind":
-        return token.kind == selector[1]
-    return token.kind == EOF_KIND
-
-
 class Grammar:
     """FIRST/FOLLOW tables over a language definition's productions."""
 
@@ -213,34 +208,11 @@ class Grammar:
                 return firsts, False
         return firsts, True
 
-    def predicts(self, suffix: tuple[str, ...], lhs: str, token: Token) -> bool:
-        firsts, nullable = self.seq_first(suffix)
-        if any(_matches(s, token) for s in firsts):
-            return True
-        return nullable and any(_matches(s, token) for s in self.follow.get(lhs, ()))
-
     def predict_selectors(self, suffix: tuple[str, ...], lhs: str) -> set[tuple]:
         firsts, nullable = self.seq_first(suffix)
         if nullable:
             firsts = firsts | self.follow.get(lhs, set())
         return firsts
-
-
-# --- Parser -----------------------------------------------------------
-
-def _describe(symbol: str) -> str:
-    kind = symbol_kind(symbol)
-    if kind == "token":
-        return symbol[1:]
-    if kind == "literal":
-        return repr(symbol)
-    return symbol
-
-
-def _describe_token(token: Token) -> str:
-    if token.kind == EOF_KIND:
-        return "end of input"
-    return f"{token.kind} {token.text!r}"
 
 
 def _describe_selector(selector: tuple) -> str:
@@ -251,107 +223,115 @@ def _describe_selector(selector: tuple) -> str:
     return "end of input"
 
 
-class _Parser:
-    def __init__(self, grammar: Grammar, tokens: list[Token]):
-        self.grammar = grammar
-        self.tokens = tokens
-        self.pos = 0
-        if tokens:
-            last = tokens[-1]
-            eof_line, eof_col = last.line, last.column + len(last.text)
-        else:
-            eof_line, eof_col = 1, 1
-        self.eof = Token(EOF_KIND, "", eof_line, eof_col)
+class _Node:
+    """The productions of one nonterminal that share a prefix of ``depth`` symbols.
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eof
+    ``next`` maps each symbol that can follow the prefix to its child node and
+    whether the symbol is a nonterminal.  ``predict`` maps a lookahead
+    selector to the next symbols it selects; end of input is keyed as the kind
+    of the EOF token, so a token is looked up by its text and its kind alone.
+    ``complete`` is the first production that ends here and ``expected``
+    describes every selector, for the error message.
+    """
 
-    def advance(self) -> Token:
-        token = self.peek()
-        self.pos += 1
-        return token
+    __slots__ = ("next", "predict", "complete", "expected")
 
-    def parse_symbol(self, symbol: str):
-        kind = symbol_kind(symbol)
-        if kind == "nonterminal":
-            return self.parse_nonterminal(symbol)
-        token = self.peek()
-        if not _matches(_selector(symbol), token):
-            raise ParseError(
-                token.line,
-                token.column,
-                f"expected {_describe(symbol)}, got {_describe_token(token)}",
-                expected=(_describe(symbol),),
+    def __init__(self, grammar: Grammar, nt: str, prods: list[Production], depth: int = 0):
+        self.complete = next((p for p in prods if len(p.rhs) == depth), None)
+        longer = [p for p in prods if len(p.rhs) > depth]
+        self.next = {
+            symbol: (
+                _Node(grammar, nt, [p for p in longer if p.rhs[depth] == symbol], depth + 1),
+                symbol_kind(symbol) == "nonterminal",
             )
-        return self.advance()
+            for symbol in dict.fromkeys(p.rhs[depth] for p in longer)
+        }
+        self.predict: dict[tuple, set[str]] = {}
+        selectors: set[tuple] = set()
+        for p in longer:
+            for selector in grammar.predict_selectors(p.rhs[depth:], nt):
+                selectors.add(selector)
+                key = ("kind", EOF_KIND) if selector == ("eof",) else selector
+                self.predict.setdefault(key, set()).add(p.rhs[depth])
+        self.expected = tuple(sorted(_describe_selector(s) for s in selectors))
 
-    def parse_nonterminal(self, nt: str):
-        candidates = list(self.grammar.productions.get(nt, ()))
-        if not candidates:
-            token = self.peek()
-            raise ParseError(token.line, token.column, f"nonterminal {nt} has no productions")
-        children: list = []
-        first_token = self.peek()
-        position = 0
-        while True:
-            token = self.peek()
-            alive = [p for p in candidates if len(p.rhs) > position]
-            selectable = [
-                p for p in alive if self.grammar.predicts(p.rhs[position:], nt, token)
-            ]
-            if not selectable:
-                complete = [p for p in candidates if len(p.rhs) == position]
-                if complete:
-                    return self._reduce(complete[0], children, first_token)
-                selectors: set[tuple] = set()
-                for p in alive:
-                    selectors |= self.grammar.predict_selectors(p.rhs[position:], nt)
-                expected = tuple(sorted(_describe_selector(s) for s in selectors))
-                raise ParseError(
-                    token.line,
-                    token.column,
-                    f"in {nt}: expected {' or '.join(expected)},"
-                    f" got {_describe_token(token)}",
-                    expected=expected,
-                )
-            symbols = {p.rhs[position] for p in selectable}
-            if len(symbols) > 1:
-                raise ParseError(
-                    token.line,
-                    token.column,
-                    f"grammar is ambiguous in {nt} on {_describe_token(token)}:"
-                    f" {' vs '.join(sorted(symbols))}",
-                )
-            children.append(self.parse_symbol(symbols.pop()))
-            candidates = selectable
-            position += 1
 
-    def _reduce(self, production: Production, children: list, first_token: Token):
-        handler = DEFAULT_HANDLERS.get(production.action_key)
-        if handler is None:
-            raise LookupError(
-                f"no handler registered for action key {production.action_key!r}"
-            )
-        return handler(children, first_token)
+# --- Parser -----------------------------------------------------------
 
-    def expect_eof(self) -> None:
-        token = self.peek()
-        if token.kind != EOF_KIND:
-            raise ParseError(
-                token.line,
-                token.column,
-                f"expected end of input, got {_describe_token(token)}",
-                expected=("end of input",),
-            )
+def _describe_token(token: Token) -> str:
+    if token.kind == EOF_KIND:
+        return "end of input"
+    return f"{token.kind} {token.text!r}"
 
 
 def parse(tokens: list[Token], lang: LanguageDef) -> ProgramAst:
-    """Parse a token stream into a program tree under the given definition."""
+    """Parse a token stream into a program tree under the given definition.
+
+    One loop over an explicit stack with a frame per open nonterminal, so
+    nesting is bounded by memory and not by the recursion limit.  Each frame
+    walks its nonterminal's prediction trie, which is built per call from the
+    definition: a token either selects the one next symbol, or ends the
+    frame's production, or is an error.
+    """
+    grammar = Grammar(lang)
+    tries = {nt: _Node(grammar, nt, prods) for nt, prods in grammar.productions.items()}
     significant = [t for t in tokens if t.kind not in TRIVIA]
-    parser = _Parser(Grammar(lang), significant)
-    result = parser.parse_nonterminal(lang.start_symbol)
-    parser.expect_eof()
-    return result
+    last = significant[-1] if significant else Token(EOF_KIND, "", 1, 1)
+    significant.append(Token(EOF_KIND, "", last.line, last.column + len(last.text)))
+    stream = iter(significant)
+    token = next(stream)
+    start = lang.start_symbol
+    if start not in tries:
+        raise ParseError(token.line, token.column, f"nonterminal {start} has no productions")
+    # frame: [nonterminal, trie node, children, first token]
+    stack = [[start, tries[start], [], token]]
+    while True:
+        nt, node, children, first_token = frame = stack[-1]
+        by_text = node.predict.get(("lit", token.text))
+        by_kind = node.predict.get(("kind", token.kind))
+        symbols = by_text | by_kind if by_text and by_kind else by_text or by_kind
+        if not symbols:
+            if node.complete is None:
+                raise ParseError(
+                    token.line,
+                    token.column,
+                    f"in {nt}: expected {' or '.join(node.expected)},"
+                    f" got {_describe_token(token)}",
+                    expected=node.expected,
+                )
+            handler = DEFAULT_HANDLERS.get(node.complete.action_key)
+            if handler is None:
+                raise LookupError(
+                    f"no handler registered for action key {node.complete.action_key!r}"
+                )
+            value = handler(children, first_token)
+            stack.pop()
+            if not stack:
+                break
+            stack[-1][2].append(value)
+        elif len(symbols) > 1:
+            raise ParseError(
+                token.line,
+                token.column,
+                f"grammar is ambiguous in {nt} on {_describe_token(token)}:"
+                f" {' vs '.join(sorted(symbols))}",
+            )
+        else:
+            (symbol,) = symbols
+            frame[1], nonterminal = node.next[symbol]
+            if nonterminal:
+                stack.append([symbol, tries[symbol], [], token])
+            else:
+                children.append(token)
+                token = next(stream, token)  # past the end stays at end of input
+    if token.kind != EOF_KIND:
+        raise ParseError(
+            token.line,
+            token.column,
+            f"expected end of input, got {_describe_token(token)}",
+            expected=("end of input",),
+        )
+    return value
 
 
 def parse_source(source: str, lang: LanguageDef) -> ProgramAst:

@@ -245,17 +245,32 @@ def serve_command(out: Path, *args: str) -> list[str]:
     ]
 
 
-def start_serve(tmp_path, *extra: str) -> tuple[subprocess.Popen, int]:
-    proc = subprocess.Popen(
-        serve_command(tmp_path / "served", "--port", "0", "--rank", "RUN", *extra),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        cwd=SRC,
-    )
-    banner = proc.stdout.readline()
-    assert banner.startswith("listening on port "), banner
-    return proc, int(banner.rsplit(" ", 1)[1])
+@pytest.fixture
+def start_serve(tmp_path):
+    """Start ``serve`` into ``tmp_path/served``; returns the process and its port.
+
+    Every child started is killed and reaped at teardown, so a test that
+    fails before its own ``communicate()`` leaves no server running.
+    """
+    started: list[subprocess.Popen] = []
+
+    def start(*extra: str) -> tuple[subprocess.Popen, int]:
+        proc = subprocess.Popen(
+            serve_command(tmp_path / "served", "--port", "0", "--rank", "RUN", *extra),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=SRC,
+        )
+        started.append(proc)
+        banner = proc.stdout.readline()
+        assert banner.startswith("listening on port "), banner
+        return proc, int(banner.rsplit(" ", 1)[1])
+
+    yield start
+    for proc in started:
+        proc.kill()
+        proc.communicate()
 
 
 def push_lines(port: int, lines: list[str], journal: Path | None = None) -> list[str]:
@@ -281,9 +296,9 @@ def biathlon_lines() -> list[str]:
     ]
 
 
-def test_serve_matches_run(tmp_path):
+def test_serve_matches_run(tmp_path, start_serve):
     lines = biathlon_lines()
-    proc, port = start_serve(tmp_path, "--stop-after", str(len(lines)))
+    proc, port = start_serve("--stop-after", str(len(lines)))
     served = tmp_path / "served"
     replies = push_lines(port, lines, served / "journal.log")
     assert replies == ["OK"] * len(lines)
@@ -301,15 +316,15 @@ def test_serve_matches_run(tmp_path):
     assert (served / "journal.log").read_bytes() == (ran / "journal.log").read_bytes()
 
 
-def test_serve_restart_after_kill_keeps_every_acked_event(tmp_path):
+def test_serve_restart_after_kill_keeps_every_acked_event(tmp_path, start_serve):
     lines = biathlon_lines()
     journal = tmp_path / "served" / "journal.log"
-    proc, port = start_serve(tmp_path)
+    proc, port = start_serve()
     assert push_lines(port, lines[:6], journal) == ["OK"] * 6
     proc.kill()
     proc.communicate(timeout=10)
 
-    proc, port = start_serve(tmp_path, "--stop-after", str(len(lines) - 6))
+    proc, port = start_serve("--stop-after", str(len(lines) - 6))
     assert push_lines(port, lines[6:], journal) == ["OK"] * (len(lines) - 6)
     proc.communicate(timeout=10)
     assert proc.returncode == 0
@@ -325,9 +340,9 @@ def test_serve_restart_after_kill_keeps_every_acked_event(tmp_path):
     assert (tmp_path / "served" / "results.csv").read_bytes() == (ran / "results.csv").read_bytes()
 
 
-def test_serve_journal_rerun_is_byte_identical(tmp_path):
+def test_serve_journal_rerun_is_byte_identical(tmp_path, start_serve):
     lines = biathlon_lines()
-    proc, port = start_serve(tmp_path, "--stop-after", str(len(lines)))
+    proc, port = start_serve("--stop-after", str(len(lines)))
     push_lines(port, lines)
     proc.communicate(timeout=10)
     assert proc.returncode == 0
@@ -345,8 +360,8 @@ def test_serve_journal_rerun_is_byte_identical(tmp_path):
     assert (rerun / "journal.log").read_bytes() == (served / "journal.log").read_bytes()
 
 
-def test_serve_skips_unknown_mp_and_keeps_going(tmp_path):
-    proc, port = start_serve(tmp_path, "--stop-after", "2")
+def test_serve_skips_unknown_mp_and_keeps_going(tmp_path, start_serve):
+    proc, port = start_serve("--stop-after", "2")
     replies = push_lines(port, ["9,BI001,100", "1,BI001,5000,2", "3,BI001,20000"])
     assert replies == ["OK"] * 3  # protocol accepts the line; the race skips it
     _, err = proc.communicate(timeout=10)
@@ -356,8 +371,8 @@ def test_serve_skips_unknown_mp_and_keeps_going(tmp_path):
     assert "unknown mp[9]" in err
 
 
-def test_serve_zero_events(tmp_path):
-    proc, _port = start_serve(tmp_path)
+def test_serve_zero_events(tmp_path, start_serve):
+    proc, _port = start_serve()
     time.sleep(0.3)
     proc.terminate()  # SIGTERM triggers the clean-shutdown path
     proc.communicate(timeout=10)
@@ -368,21 +383,19 @@ def test_serve_zero_events(tmp_path):
     assert len(rows) == 3  # header + both runners at initial values
 
 
-def test_serve_port_in_use(tmp_path):
-    proc, port = start_serve(tmp_path)
-    try:
-        second = subprocess.run(
-            serve_command(tmp_path / "other", "--port", port),
-            capture_output=True,
-            text=True,
-            cwd=SRC,
-            timeout=10,
-        )
-        assert second.returncode == 2
-        assert "cannot bind" in second.stderr
-    finally:
-        proc.terminate()
-        proc.communicate(timeout=10)
+def test_serve_port_in_use(tmp_path, start_serve):
+    proc, port = start_serve()
+    second = subprocess.run(
+        serve_command(tmp_path / "other", "--port", port),
+        capture_output=True,
+        text=True,
+        cwd=SRC,
+        timeout=10,
+    )
+    assert second.returncode == 2
+    assert "cannot bind" in second.stderr
+    proc.terminate()
+    proc.communicate(timeout=10)
 
 
 @pytest.mark.parametrize("option, value", [
@@ -421,9 +434,9 @@ def replayed_results_csv(lines: list[str], out: Path) -> bytes:
     return (out / "results.csv").read_bytes()
 
 
-def test_serve_snapshots_periodically(tmp_path):
+def test_serve_snapshots_periodically(tmp_path, start_serve):
     lines = biathlon_lines()
-    proc, port = start_serve(tmp_path, "--stop-after", str(len(lines)), "--snapshot-every", "3")
+    proc, port = start_serve("--stop-after", str(len(lines)), "--snapshot-every", "3")
     served = tmp_path / "served"
     for n, line in enumerate(lines, 1):
         assert push_lines(port, [line]) == ["OK"]
@@ -436,13 +449,13 @@ def test_serve_snapshots_periodically(tmp_path):
     assert (served / "results.csv").read_bytes() == replayed_results_csv(lines, tmp_path / "final")
 
 
-def test_serve_journals_unmatched_rfids_like_run(tmp_path):
+def test_serve_journals_unmatched_rfids_like_run(tmp_path, start_serve):
     lines = biathlon_lines()
     # rfids not on the roster, in timestamp order among the real ones, so run keeps the order
     lines[1:1] = ["1,GHOST,5500,3"]
     lines[6:6] = ["3,NOBODY,19000"]
     lines.append("3,GHOST,60000")
-    proc, port = start_serve(tmp_path, "--stop-after", str(len(lines)))
+    proc, port = start_serve("--stop-after", str(len(lines)))
     served = tmp_path / "served"
     assert push_lines(port, lines, served / "journal.log") == ["OK"] * len(lines)
     proc.communicate(timeout=10)

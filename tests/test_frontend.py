@@ -6,16 +6,33 @@ import pytest
 
 from conftest import program_source, random_program
 from easytime.frontend import (
+    AgentDecl,
     LexError,
+    MeasuringPlace,
     ParseError,
     Predicate,
+    ProgramAst,
     Statement,
     VarDecl,
     parse_source,
     pretty,
     tokenize,
 )
-from easytime.langdef import TRIVIA, easytime_base, easytime_pp
+from easytime.langdef import (
+    TRIVIA,
+    LanguageDef,
+    LexRule,
+    RuleGroup,
+    easytime_base,
+    easytime_pp,
+    prod,
+)
+
+
+def parse_error(source: str, lang) -> tuple:
+    with pytest.raises(ParseError) as err:
+        parse_source(source, lang)
+    return err.value.line, err.value.column, err.value.message, err.value.expected
 
 
 def kinds_and_texts(source: str, lang) -> list[tuple[str, str]]:
@@ -139,26 +156,50 @@ def test_duplicate_category_arm_rejected():
 
 
 def test_base_rejects_extension_declarations():
-    with pytest.raises(ParseError):
-        parse_source("dynamicvar PENALTY;", easytime_base())
+    assert parse_error("dynamicvar PENALTY;", easytime_base()) == (
+        1, 1,
+        "in PROGRAM: expected 'mp' or 'var' or Int or end of input, got Identifier 'dynamicvar'",
+        ("'mp'", "'var'", "Int", "end of input"),
+    )
     with pytest.raises(LexError):
         parse_source("var X := { (category == 1) -> 4, (category == 2) -> 5 };", easytime_base())
 
 
 def test_empty_statement_list_rejected():
-    with pytest.raises(ParseError):
-        parse_source("1 manual \"m.dat\";\nmp[1] -> agnt[1] { }", easytime_pp())
+    assert parse_error("1 manual \"m.dat\";\nmp[1] -> agnt[1] { }", easytime_pp()) == (
+        2, 20, "in PLACE: expected '(', got Separator '}'", ("'('",),
+    )
 
 
 def test_parse_error_reports_position_and_expectations():
+    assert parse_error("var X := ;", easytime_pp()) == (
+        1, 10, "in DEC: expected '{' or Int, got Separator ';'", ("'{'", "Int"),
+    )
+    assert parse_error("var X := 4; junk", easytime_pp()) == (
+        1, 13,
+        "in DECS: expected 'dynamicvar' or 'mp' or 'var' or end of input,"
+        " got Identifier 'junk'",
+        ("'dynamicvar'", "'mp'", "'var'", "end of input"),
+    )
+
+
+WORDS = (LexRule("Whitespace", r"\s+", 0), LexRule("Word", r"[a-z]+", 10))
+
+
+def test_ambiguous_grammar_reported_at_the_token():
+    groups = {"S": RuleGroup("S", (
+        prod("S", "A", "s_a"), prod("S", "B", "s_b"), prod("A", "x", "a"), prod("B", "x", "b"),
+    ))}
     with pytest.raises(ParseError) as err:
-        parse_source("var X := ;", easytime_pp())
-    assert err.value.line == 1
-    assert err.value.column == 10
-    assert err.value.expected
+        parse_source("x", LanguageDef("tiny", WORDS, groups, "S"))
+    assert str(err.value) == "1:1: grammar is ambiguous in S on Word 'x': A vs B"
+
+
+def test_start_symbol_without_productions_reported():
+    groups = {"A": RuleGroup("A", (prod("A", "x", "a"),))}
     with pytest.raises(ParseError) as err:
-        parse_source("var X := 4; junk", easytime_pp())
-    assert "junk" in str(err.value)
+        parse_source(" x", LanguageDef("tiny", WORDS, groups, "S"))
+    assert str(err.value) == "1:2: nonterminal S has no productions"
 
 
 def test_trailing_tokens_rejected():
@@ -197,6 +238,23 @@ def test_random_program_round_trip():
     for _ in range(50):
         ast = random_program(rng)
         assert parse_source(pretty(ast), lang) == ast
+
+
+def test_deep_program_round_trips_in_both_dialects():
+    # list rules are right-recursive, so each element is one more level of nesting
+    n = 1000
+    stmt = Statement(Predicate("equals", "V0", 1), "upd", "V1")
+    ast = ProgramAst(
+        (AgentDecl(1, "manual", "m.dat"),),
+        tuple(VarDecl(f"V{i}", "plain", value=i) for i in range(n)),
+        tuple(MeasuringPlace(i, 1, (stmt,)) for i in range(1, n + 1))
+        + (MeasuringPlace(n + 1, 1, (stmt,) * n),),
+    )
+    source = pretty(ast)
+    for lang in (easytime_base(), easytime_pp()):
+        parsed = parse_source(source, lang)
+        assert parsed == ast
+        assert pretty(parsed) == source
 
 
 def test_parse_is_deterministic():
