@@ -42,34 +42,34 @@ class MalformedEventError(Exception):
 
 def load_runners(path: str | Path) -> list[Runner]:
     """Read and validate a roster CSV; ``init_race`` checks ids and rfids are unique."""
+    genders = {gender: gender for gender in GENDERS}  # runners share one string per gender
+    runners: list[Runner] = []
     with open(path, newline="", encoding="ascii") as handle:
         reader = csv.reader(handle)
-        rows = list(reader)
-    if not rows or rows[0] != ROSTER_HEADER:
-        raise MalformedRowError(1, f"header must be {','.join(ROSTER_HEADER)}")
-
-    runners: list[Runner] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(ROSTER_HEADER):
-            raise MalformedRowError(lineno, f"expected {len(ROSTER_HEADER)} fields, got {len(row)}")
-        raw_id, rfid, last_name, first_name, gender, raw_category = row
-        try:
-            runner_id = int(raw_id)
-        except ValueError:
-            raise MalformedRowError(lineno, f"id {raw_id!r} is not an integer") from None
-        if not rfid:
-            raise MalformedRowError(lineno, "empty rfid")
-        if gender not in GENDERS:
-            raise MalformedRowError(lineno, f"gender must be one of {'/'.join(GENDERS)}, got {gender!r}")
-        try:
-            category = int(raw_category)
-        except ValueError:
-            raise MalformedRowError(lineno, f"category {raw_category!r} is not an integer") from None
-        if category < 0:
-            raise MalformedRowError(lineno, f"category must be >= 0, got {category}")
-        runners.append(Runner(runner_id, rfid, last_name, first_name, gender, category))
+        if next(reader, None) != ROSTER_HEADER:
+            raise MalformedRowError(1, f"header must be {','.join(ROSTER_HEADER)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(ROSTER_HEADER):
+                raise MalformedRowError(lineno, f"expected {len(ROSTER_HEADER)} fields, got {len(row)}")
+            raw_id, rfid, last_name, first_name, raw_gender, raw_category = row
+            try:
+                runner_id = int(raw_id)
+            except ValueError:
+                raise MalformedRowError(lineno, f"id {raw_id!r} is not an integer") from None
+            if not rfid:
+                raise MalformedRowError(lineno, "empty rfid")
+            if (gender := genders.get(raw_gender)) is None:
+                raise MalformedRowError(
+                    lineno, f"gender must be one of {'/'.join(GENDERS)}, got {raw_gender!r}")
+            try:
+                category = int(raw_category)
+            except ValueError:
+                raise MalformedRowError(lineno, f"category {raw_category!r} is not an integer") from None
+            if category < 0:
+                raise MalformedRowError(lineno, f"category must be >= 0, got {category}")
+            runners.append(Runner(runner_id, rfid, last_name, first_name, gender, category))
     return runners
 
 
@@ -258,7 +258,6 @@ def write_results(tables: list[ResultTable], out_dir: str | Path) -> list[Path]:
         with open(path, "w", newline="", encoding="ascii") as handle:
             writer = csv.writer(handle)
             writer.writerow(table.columns)
-            for row in table.rows:
-                writer.writerow(["" if cell is None else cell for cell in row])
+            writer.writerows(table.rows)  # csv writes None as an empty cell
         written.append(path)
     return written

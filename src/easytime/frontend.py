@@ -349,8 +349,15 @@ def _require_positive(token: Token, what: str) -> int:
     return value
 
 
+def _cons(item, rest: list) -> list:
+    # a right-recursive list reduces its last element first, so it is built back to
+    # front in O(1) per element, and the production that consumes it reverses it once
+    rest.append(item)
+    return rest
+
+
 def _h_program(c, t):
-    return ProgramAst(tuple(c[0]), tuple(c[1]), tuple(c[2]))
+    return ProgramAst(tuple(reversed(c[0])), tuple(reversed(c[1])), tuple(reversed(c[2])))
 
 
 def _h_agent(c, t):
@@ -368,7 +375,7 @@ def _h_dec_dynamic(c, t):
 
 
 def _h_dec_categorized(c, t):
-    arms = tuple(c[4])
+    arms = tuple(reversed(c[4]))
     seen: set[int] = set()
     for category, _ in arms:
         if category in seen:
@@ -381,31 +388,31 @@ def _h_dec_categorized(c, t):
 def _h_place(c, t):
     return MeasuringPlace(_require_positive(c[2], "measuring place id"),
                           _require_positive(c[7], "agent id"),
-                          tuple(c[10]), line=t.line, column=t.column)
+                          tuple(reversed(c[10])), line=t.line, column=t.column)
 
 
 DEFAULT_HANDLERS: dict = {
     "program": _h_program,
-    "agents_cons": lambda c, t: [c[0]] + c[1],
+    "agents_cons": lambda c, t: _cons(c[0], c[1]),
     "agents_nil": lambda c, t: [],
     "agent": _h_agent,
     "agent_manual": lambda c, t: ("manual", c[1].text[1:-1]),
     "agent_auto": lambda c, t: ("auto", c[1].text),
-    "decs_cons": lambda c, t: [c[0]] + c[1],
+    "decs_cons": lambda c, t: _cons(c[0], c[1]),
     "decs_nil": lambda c, t: [],
     "dec_plain": _h_dec_plain,
     "dec_dynamic": _h_dec_dynamic,
     "dec_categorized": _h_dec_categorized,
-    "places_cons": lambda c, t: [c[0]] + c[1],
+    "places_cons": lambda c, t: _cons(c[0], c[1]),
     "places_nil": lambda c, t: [],
     "place": _h_place,
-    "stmts_cons": lambda c, t: [c[0]] + c[1],
+    "stmts_cons": lambda c, t: _cons(c[0], c[1]),
     "stmts_single": lambda c, t: [c[0]],
     "stmt_upd": lambda c, t: Statement(c[1], "upd", c[5].text, line=t.line, column=t.column),
     "stmt_dec": lambda c, t: Statement(c[1], "dec", c[5].text, line=t.line, column=t.column),
     "pred_true": lambda c, t: Predicate("true"),
     "pred_equals": lambda c, t: Predicate("equals", var=c[0].text, value=int(c[2].text)),
-    "ctgrs_cons": lambda c, t: [(int(c[3].text), int(c[6].text))] + c[8],
+    "ctgrs_cons": lambda c, t: _cons((int(c[3].text), int(c[6].text)), c[8]),
     "ctgrs_single": lambda c, t: [(int(c[3].text), int(c[6].text))],
 }
 

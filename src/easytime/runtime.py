@@ -11,13 +11,14 @@ one-event case.  ``serve`` owns its race and runs the step on it directly.
 
 from __future__ import annotations
 
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, replace
+from operator import attrgetter, itemgetter
 
 from .frontend import Predicate, ProgramAst, Statement
 from .semantics import ARMS, StaticState
 
 GENDERS = ("female", "male")
-GROUPINGS = ("category", "gender", "category-gender")
 
 RunnerVars = dict[str, "int | None"]
 
@@ -41,24 +42,12 @@ class UnknownVariableError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Runner:
-    id: int
-    rfid: str
-    last_name: str
-    first_name: str
-    gender: str  # "female" or "male"
-    category: int
-
-
-@dataclass(frozen=True)
-class Event:
-    """One crossing or device reading."""
-
-    mp_id: int
-    rfid: str
-    timestamp_ms: int
-    payload: int | None = None
+# Runners and events are named tuples: cheap to build by the ten thousand,
+# immutable, and equal to plain tuples of the same fields.  ``gender`` is an
+# element of GENDERS.
+Runner = namedtuple("Runner", "id rfid last_name first_name gender category")
+Event = namedtuple("Event", "mp_id rfid timestamp_ms payload", defaults=(None,))
+Event.__doc__ = "One crossing or device reading."
 
 
 @dataclass(frozen=True)
@@ -98,33 +87,42 @@ def init_race(state: StaticState, roster: list[Runner] | tuple[Runner, ...]) -> 
     Dynamic variables start undefined; other variables take their category
     map's value at the runner's category.  A categorized variable with no arm
     for a runner's category starts undefined and is reported as a warning.
+    The values are worked out once per category; each runner gets a copy.
     Raises DuplicateRfidError or DuplicateRunnerIdError if an rfid or a
     runner id appears twice in the roster.
     """
     seen_ids: set[int] = set()
     warnings: list[RaceWarning] = []
     per_runner: dict[str, RunnerVars] = {}
+    templates: dict[int, tuple[RunnerVars, list[str]]] = {}
     for runner in roster:
         if runner.rfid in per_runner:
             raise DuplicateRfidError(f"rfid {runner.rfid} appears twice in roster")
         if runner.id in seen_ids:
             raise DuplicateRunnerIdError(f"runner id {runner.id} appears twice in roster")
         seen_ids.add(runner.id)
-        variables: RunnerVars = {}
-        for name, meta in state.env.items():
-            if meta.is_dynamic:
-                variables[name] = None
-                continue
-            value = meta.values.lookup(runner.category)
-            if value is None and meta.values.kind == ARMS:
-                warnings.append(RaceWarning(
-                    runner.rfid, name,
-                    f"runner {runner.id} ({runner.rfid}): no value for"
-                    f" category {runner.category} in {name}"))
-            variables[name] = value
-        per_runner[runner.rfid] = variables
+        if (template := templates.get(runner.category)) is None:
+            template = templates[runner.category] = _category_template(state, runner.category)
+        variables, missing = template
+        for name in missing:
+            warnings.append(RaceWarning(
+                runner.rfid, name,
+                f"runner {runner.id} ({runner.rfid}): no value for"
+                f" category {runner.category} in {name}"))
+        per_runner[runner.rfid] = dict(variables)
 
     return RaceState(tuple(roster), state.names(), per_runner, warnings=tuple(warnings))
+
+
+def _category_template(state: StaticState, category: int) -> tuple[RunnerVars, list[str]]:
+    """A runner's starting variables in ``category``, and the categorized ones with no arm."""
+    variables: RunnerVars = {
+        name: None if meta.is_dynamic else meta.values.lookup(category)
+        for name, meta in state.env.items()
+    }
+    missing = [name for name, meta in state.env.items()
+               if not meta.is_dynamic and meta.values.kind == ARMS and variables[name] is None]
+    return variables, missing
 
 
 def eval_predicate(pred: Predicate, variables: RunnerVars) -> bool:
@@ -201,6 +199,15 @@ def check_rank_var(var_names: tuple[str, ...], rank_var: str | None) -> None:
 
 RUNNER_COLUMNS = ("rank", "id", "last_name", "first_name", "gender", "category")
 
+# grouping -> (a runner's group key, the group's label from its key); keys sort the tables
+_GROUP_BY = {
+    None: (lambda runner: "", str),
+    "category": (attrgetter("category"), "cat{}".format),
+    "gender": (attrgetter("gender"), str),
+    "category-gender": (attrgetter("category", "gender"), lambda key: "cat{}_{}".format(*key)),
+}
+GROUPINGS = tuple(name for name in _GROUP_BY if name is not None)
+
 
 def race_results(
     race: RaceState,
@@ -212,51 +219,35 @@ def race_results(
     ``group_by`` is None or one of ``GROUPINGS``.  Rows sort ascending by
     ``rank_var`` with undefined values last and runner id as tie-break; rank
     numbers are assigned only to rows with a defined rank value.  Without
-    ``rank_var`` rows are in runner-id order and unranked.
+    ``rank_var`` rows are in runner-id order and unranked.  One pass over
+    the roster groups the runners and computes each sort key; each row is
+    built once, after its group is sorted.
     """
     check_rank_var(race.var_names, rank_var)
     if group_by is not None and group_by not in GROUPINGS:
         raise ValueError(f"unknown grouping {group_by!r}")
+    key_of, label_of = _GROUP_BY[group_by]
 
-    groups: dict[tuple, tuple[str, list[Runner]]] = {}
+    # entries (unranked, rank value, id, runner, variables); ids are unique, so sorting
+    # never compares the runners or their variables
+    groups: defaultdict[object, list[tuple]] = defaultdict(list)
+    per_runner = race.per_runner
     for runner in race.roster:
-        if group_by == "category":
-            key, label = (runner.category,), f"cat{runner.category}"
-        elif group_by == "gender":
-            key, label = (runner.gender,), runner.gender
-        elif group_by == "category-gender":
-            key = (runner.category, runner.gender)
-            label = f"cat{runner.category}_{runner.gender}"
-        else:
-            key, label = (), ""
-        groups.setdefault(key, (label, []))[1].append(runner)
+        variables = per_runner[runner.rfid]
+        value = None if rank_var is None else variables[rank_var]
+        groups[key_of(runner)].append((value is None, value or 0, runner.id, runner, variables))
 
-    columns = RUNNER_COLUMNS + race.var_names
+    names = race.var_names
+    # the tuple of a runner's variables at names; itemgetter needs two names to return one
+    cells = (itemgetter(*names) if len(names) > 1
+             else lambda variables: tuple(variables[name] for name in names))
     tables: list[ResultTable] = []
     for key in sorted(groups):
-        label, members = groups[key]
-        if rank_var is None:
-            ordered = sorted(members, key=lambda r: r.id)
-        else:
-            ordered = sorted(
-                members,
-                key=lambda r: (
-                    race.per_runner[r.rfid][rank_var] is None,
-                    race.per_runner[r.rfid][rank_var] or 0,
-                    r.id,
-                ),
-            )
-        rows = []
-        rank = 0
-        for runner in ordered:
-            variables = race.per_runner[runner.rfid]
-            if rank_var is not None and variables[rank_var] is not None:
-                rank += 1
-                rank_cell: int | None = rank
-            else:
-                rank_cell = None
-            rows.append((rank_cell, runner.id, runner.last_name, runner.first_name,
-                         runner.gender, runner.category)
-                        + tuple(variables[name] for name in race.var_names))
-        tables.append(ResultTable(label, columns, tuple(rows), rank_var))
+        entries = groups[key]
+        entries.sort()
+        # ranked entries sort first, so a ranked entry's place is its rank
+        rows = tuple((None if unranked else place, runner.id, runner.last_name,
+                      runner.first_name, runner.gender, runner.category) + cells(variables)
+                     for place, (unranked, _, _, runner, variables) in enumerate(entries, 1))
+        tables.append(ResultTable(label_of(key), RUNNER_COLUMNS + names, rows, rank_var))
     return tables

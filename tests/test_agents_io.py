@@ -20,7 +20,7 @@ from easytime.agents_io import (
     write_event_log,
     write_results,
 )
-from easytime.runtime import Event, ResultTable, Runner
+from easytime.runtime import GENDERS, Event, ResultTable, Runner
 
 
 # --- roster -----------------------------------------------------------
@@ -44,6 +44,30 @@ def test_load_runners_rejects_wrong_header(tmp_path):
     with pytest.raises(MalformedRowError) as err:
         load_runners(path)
     assert err.value.line == 1
+    assert str(err.value) == "line 1: header must be id,rfid,last_name,first_name,gender,category"
+
+
+def test_load_runners_rejects_empty_file(tmp_path):
+    path = tmp_path / "roster.csv"
+    path.write_text("")
+    with pytest.raises(MalformedRowError) as err:
+        load_runners(path)
+    assert str(err.value) == "line 1: header must be id,rfid,last_name,first_name,gender,category"
+
+
+def test_load_runners_counts_blank_lines_in_error_line_numbers(tmp_path):
+    path = write_roster(tmp_path, "1,TAG001,Novak,Ana,female,1\n\n2,TAG002,Kovac,Maja,female\n")
+    with pytest.raises(MalformedRowError) as err:
+        load_runners(path)
+    assert str(err.value) == "line 4: expected 6 fields, got 5"
+
+
+def test_load_runners_skips_blank_lines_and_shares_gender_strings(tmp_path):
+    path = write_roster(tmp_path, "1,TAG001,Novak,Ana,female,1\n\n2,TAG002,Horvat,Ivo,male,0\n")
+    runners = load_runners(path)
+    assert runners == [Runner(1, "TAG001", "Novak", "Ana", "female", 1),
+                       Runner(2, "TAG002", "Horvat", "Ivo", "male", 0)]
+    assert runners[0].gender is GENDERS[0] and runners[1].gender is GENDERS[1]
 
 
 def test_load_runners_rejects_bad_gender(tmp_path):

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from conftest import program_source, random_program
-from easytime.frontend import Predicate, parse_source
+from easytime.frontend import Predicate, VarDecl, parse_source
 from easytime.langdef import easytime_base, easytime_pp
 from easytime.runtime import (
+    GROUPINGS,
     RUNNER_COLUMNS,
     DuplicateRfidError,
     DuplicateRunnerIdError,
@@ -22,7 +23,7 @@ from easytime.runtime import (
     replay,
     run_statements,
 )
-from easytime.semantics import analyze
+from easytime.semantics import StaticState, analyze, decl_sequence
 
 ANA = Runner(1, "TAG001", "Novak", "Ana", "female", 1)
 MAJA = Runner(2, "TAG002", "Kovac", "Maja", "female", 2)
@@ -69,6 +70,47 @@ def test_init_race_warns_on_unmapped_category():
     assert warning.rfid == "TAG009"
     assert warning.variable == "ROUND1"
     assert "category 7" in warning.message
+
+
+def test_init_race_gives_runners_of_one_category_their_own_variables():
+    _, state = compiled("cyclocross")
+    other = Runner(4, "TAG004", "Zupan", "Eva", "female", 1)
+    race = init_race(state, [ANA, other])
+    ana, eva = race.per_runner["TAG001"], race.per_runner["TAG004"]
+    assert ana == eva and ana is not eva
+    ana["ROUND1"] = 0
+    assert eva["ROUND1"] == 4
+    assert init_race(state, [ANA]).per_runner["TAG001"]["ROUND1"] == 4
+
+
+def test_init_race_warns_in_roster_then_variable_order():
+    state = decl_sequence([
+        VarDecl("B", "categorized", arms=((1, 10),)),
+        VarDecl("K", "plain", value=5),
+        VarDecl("A", "categorized", arms=((2, 20),)),
+        VarDecl("D", "dynamic"),
+    ], StaticState.empty())
+    roster = [Runner(i + 1, f"R{i}", "L", "F", "male", category)
+              for i, category in enumerate((2, 1, 3, 2, 1))]
+    race = init_race(state, roster)
+    assert [(w.rfid, w.variable) for w in race.warnings] == [
+        ("R0", "B"), ("R1", "A"), ("R2", "B"), ("R2", "A"), ("R3", "B"), ("R4", "A")]
+    assert race.warnings[2].message == "runner 3 (R2): no value for category 3 in B"
+    assert race.per_runner["R2"] == {"B": None, "K": 5, "A": None, "D": None}
+    assert race.per_runner["R4"] == {"B": 10, "K": 5, "A": None, "D": None}
+
+
+def test_runner_and_event_are_immutable_named_tuples():
+    event = Event(1, "A", 10)
+    assert event.payload is None
+    assert repr(event) == "Event(mp_id=1, rfid='A', timestamp_ms=10, payload=None)"
+    assert repr(ANA) == ("Runner(id=1, rfid='TAG001', last_name='Novak',"
+                         " first_name='Ana', gender='female', category=1)")
+    assert ANA == (1, "TAG001", "Novak", "Ana", "female", 1)
+    with pytest.raises(AttributeError):
+        ANA.category = 2
+    with pytest.raises(AttributeError):
+        event.payload = 3
 
 
 def test_init_race_rejects_duplicate_rfid():
@@ -389,3 +431,67 @@ def test_property_in_place_steps_equal_replay():
         ghosts += sum(not entry.matched for entry in replayed.log)
         skipped_decs += len(warnings) - len(live.warnings)
     assert ghosts and skipped_decs  # both branches were exercised
+
+
+def reference_results(race, rank_var, group_by):
+    """race_results written directly: group, then sort each group by a key function."""
+    groups = {}
+    for runner in race.roster:
+        if group_by == "category":
+            key, label = (runner.category,), f"cat{runner.category}"
+        elif group_by == "gender":
+            key, label = (runner.gender,), runner.gender
+        elif group_by == "category-gender":
+            key, label = (runner.category, runner.gender), f"cat{runner.category}_{runner.gender}"
+        else:
+            key, label = (), ""
+        groups.setdefault(key, (label, []))[1].append(runner)
+
+    def rank_value(runner):
+        return race.per_runner[runner.rfid][rank_var]
+
+    tables = []
+    for key in sorted(groups):
+        label, members = groups[key]
+        if rank_var is None:
+            ordered = sorted(members, key=lambda r: r.id)
+        else:
+            ordered = sorted(members, key=lambda r: (rank_value(r) is None, rank_value(r) or 0, r.id))
+        rows, rank = [], 0
+        for runner in ordered:
+            variables = race.per_runner[runner.rfid]
+            if rank_var is not None and variables[rank_var] is not None:
+                rank += 1
+                rank_cell = rank
+            else:
+                rank_cell = None
+            rows.append((rank_cell, runner.id, runner.last_name, runner.first_name,
+                         runner.gender, runner.category)
+                        + tuple(variables[name] for name in race.var_names))
+        tables.append((label, RUNNER_COLUMNS + race.var_names, tuple(rows), rank_var))
+    return tables
+
+
+def test_property_race_results_equal_the_direct_reference():
+    rng = random.Random(6174)
+    sizes = set()
+    for _ in range(60):
+        n_vars = rng.choice((0, 1, 1, 2, 4))
+        sizes.add(n_vars)
+        state = decl_sequence([VarDecl(f"V{i}", "dynamic") for i in range(n_vars)],
+                              StaticState.empty())
+        ids = rng.sample(range(1, 100), rng.randint(1, 12))  # roster out of id order
+        roster = [Runner(rid, f"R{rid}", f"Last{rid}", f"First{rid}",
+                         rng.choice(("female", "male")), rng.randint(0, 3)) for rid in ids]
+        race = init_race(state, roster)
+        for variables in race.per_runner.values():
+            for i, name in enumerate(variables):
+                # V0 is always defined, the others only sometimes; few values, so ranks tie
+                defined = i == 0 or rng.random() < 0.6
+                variables[name] = rng.randint(0, 3) if defined else None
+        for rank_var in (None, *race.var_names):
+            for group_by in (None, *GROUPINGS):
+                tables = race_results(race, rank_var=rank_var, group_by=group_by)
+                got = [(t.label, t.columns, t.rows, t.rank_var) for t in tables]
+                assert got == reference_results(race, rank_var, group_by)
+    assert {0, 1, 2} <= sizes  # no variables, one variable, and more
