@@ -153,11 +153,41 @@ def cmd_results(args) -> None:
     _export_results(race, args, _out_dir(args))
 
 
+def _cut_torn_tail(path: Path) -> None:
+    """Cut ``path`` back to its last newline, reading from the end, and warn of the cut.
+
+    A crash in the middle of a write leaves a last line that was never acked;
+    replayed, it would be a made-up event, and the next append would run onto it.
+    """
+    try:
+        with open(path, "r+b") as journal:
+            end = journal.seek(0, os.SEEK_END)
+            torn = b""
+            while len(torn) < end:
+                step = min(end - len(torn), 4096)
+                journal.seek(end - len(torn) - step)
+                chunk = journal.read(step)
+                newline = chunk.rfind(b"\n")
+                torn = chunk[newline + 1:] + torn
+                if newline >= 0:
+                    break
+            if torn:
+                journal.truncate(end - len(torn))
+    except OSError as exc:
+        raise _Failure(EXIT_IO, f"cannot repair journal: {exc.strerror}")
+    if torn:
+        print(f"warning: {path}: dropped {len(torn)} bytes of a torn last line:"
+              f" {torn.decode('latin-1')!r}", file=sys.stderr)
+
+
 def cmd_serve(args) -> None:
     out_dir = _out_dir(args)
     journal_path = out_dir / JOURNAL_NAME
     # a restart resumes the journal a previous serve left behind
-    ast, race = _start(args, [journal_path] if journal_path.exists() else [])
+    resume = journal_path.exists()
+    if resume:
+        _cut_torn_tail(journal_path)
+    ast, race = _start(args, [journal_path] if resume else [])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         journal = open(journal_path, "a", encoding="ascii")
@@ -178,9 +208,8 @@ def cmd_serve(args) -> None:
         journal.write(format_event(event) + "\n")
         journal.flush()
         # only once journaled, so live state never runs ahead of the journal; serve owns the
-        # race _start returned, so it updates runners in place and keeps no log or warnings
-        if (variables := race.per_runner.get(event.rfid)) is not None:
-            run_statements(stmts, variables, event, [])
+        # race _start returned and steps its per_runner map directly, keeping no log or warnings
+        run_statements(stmts, race.per_runner, event, [])
         applied += 1
         if args.snapshot_every and applied % args.snapshot_every == 0:
             try:

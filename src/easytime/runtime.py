@@ -1,12 +1,13 @@
 """Event-driven execution of compiled programs over a competitor roster.
 
-Each runner carries their own copy of the program variables, initialized
-from the static state and the runner's category.  A crossing event selects a
-measuring place and runs its guarded statements in source order against that
-runner's variables; guards see updates made earlier in the same event.
-``run_statements`` is that step, in place.  ``replay`` folds events through it
-into a new race state and never mutates the old one; ``apply_event`` is its
-one-event case.  ``serve`` owns its race and runs the step on it directly.
+Each runner's program variables start from the static state and the runner's
+category; the runners of one category share one read-only dict of them.  A
+crossing event selects a measuring place and runs its guarded statements in
+source order on a copy of that runner's variables, which replaces their entry;
+guards see updates made earlier in the same event.  ``run_statements`` is that
+step.  ``replay`` folds events through it into a new race state and never
+mutates the old one; ``apply_event`` is its one-event case.  ``serve`` owns its
+race and runs the step on it directly.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class LogEntry:
 class RaceState:
     roster: tuple[Runner, ...]
     var_names: tuple[str, ...]  # program variables in declaration order
-    per_runner: dict[str, RunnerVars]  # keyed by rfid
+    per_runner: dict[str, RunnerVars]  # keyed by rfid; values are read-only and may be shared
     log: tuple[LogEntry, ...] = ()
     warnings: tuple[RaceWarning, ...] = ()
 
@@ -87,7 +88,7 @@ def init_race(state: StaticState, roster: list[Runner] | tuple[Runner, ...]) -> 
     Dynamic variables start undefined; other variables take their category
     map's value at the runner's category.  A categorized variable with no arm
     for a runner's category starts undefined and is reported as a warning.
-    The values are worked out once per category; each runner gets a copy.
+    The values are worked out once per category and shared by its runners.
     Raises DuplicateRfidError or DuplicateRunnerIdError if an rfid or a
     runner id appears twice in the roster.
     """
@@ -109,7 +110,7 @@ def init_race(state: StaticState, roster: list[Runner] | tuple[Runner, ...]) -> 
                 runner.rfid, name,
                 f"runner {runner.id} ({runner.rfid}): no value for"
                 f" category {runner.category} in {name}"))
-        per_runner[runner.rfid] = dict(variables)
+        per_runner[runner.rfid] = variables
 
     return RaceState(tuple(roster), state.names(), per_runner, warnings=tuple(warnings))
 
@@ -138,11 +139,16 @@ def apply_event(race: RaceState, ast: ProgramAst, event: Event) -> RaceState:
     return replay(race, ast, (event,))
 
 
-def run_statements(stmts, variables: RunnerVars, event: Event, warnings: list) -> tuple:
-    """Run ``event``'s place's ``stmts`` in order on one runner's ``variables``, in place.
+def run_statements(stmts, per_runner: dict[str, RunnerVars], event: Event, warnings: list):
+    """Run ``event``'s place's ``stmts`` in order on its runner's variables in ``per_runner``.
 
-    Returns the statements that fired; a skipped ``dec`` appends to ``warnings``.
+    An updated copy replaces the runner's entry; the old dict may be shared and is
+    never written to.  Returns the statements that fired, or None for an rfid not
+    in ``per_runner``; a skipped ``dec`` appends to ``warnings``.
     """
+    if (variables := per_runner.get(event.rfid)) is None:
+        return None
+    variables = per_runner[event.rfid] = dict(variables)
     reading = event.timestamp_ms if event.payload is None else event.payload
     fired: list[Statement] = []
     for stmt in stmts:
@@ -167,9 +173,9 @@ def replay(race: RaceState, ast: ProgramAst, events) -> RaceState:
     """Run each event, in the order given, through its measuring place's statements.
 
     Events for rfids not on the roster are logged as unmatched and change
-    nothing else.  ``race`` is not mutated: each event copies its runner's
-    variables and ``run_statements`` works on the copy, so an event's cost
-    grows with neither the roster nor the log.  Raises
+    nothing else.  ``race`` is not mutated: ``run_statements`` replaces a
+    runner's entry in a copy of ``race.per_runner``, so an event's cost grows
+    with neither the roster nor the log.  Raises
     UnknownMeasuringPlaceError naming the first event aimed at a missing place.
     """
     stmts_at = {place.mp_id: place.stmts for place in ast.places}
@@ -180,12 +186,8 @@ def replay(race: RaceState, ast: ProgramAst, events) -> RaceState:
         stmts = stmts_at.get(event.mp_id)
         if stmts is None:
             raise UnknownMeasuringPlaceError(event.mp_id, index)
-        if event.rfid not in per_runner:
-            log.append(LogEntry(event, (), matched=False))
-            continue
-        variables = per_runner[event.rfid] = dict(per_runner[event.rfid])
-        fired = run_statements(stmts, variables, event, warnings)
-        log.append(LogEntry(event, fired, matched=True))
+        fired = run_statements(stmts, per_runner, event, warnings)
+        log.append(LogEntry(event, fired or (), matched=fired is not None))
 
     return replace(race, per_runner=per_runner, log=race.log + tuple(log),
                    warnings=race.warnings + tuple(warnings))

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import FIXTURES, program_source
 from easytime.agents_io import load_runners, parse_event_line, write_results
-from easytime.cli import build_parser, main
+from easytime.cli import _cut_torn_tail, build_parser, main
 from easytime.frontend import parse_source
 from easytime.langdef import easytime_pp
 from easytime.runtime import init_race, race_results, replay
@@ -314,6 +314,64 @@ def test_serve_matches_run(tmp_path, start_serve):
     )
     assert (served / "results.csv").read_bytes() == (ran / "results.csv").read_bytes()
     assert (served / "journal.log").read_bytes() == (ran / "journal.log").read_bytes()
+
+
+def test_serve_with_one_runner_of_a_category_raced_matches_run(tmp_path, start_serve):
+    # both biathlon runners are in category 1; BI002 never crosses a mat, so keeps the
+    # starting values BI001 shared until BI001's first event
+    lines = [line for line in biathlon_lines() if ",BI001," in line]
+    proc, port = start_serve("--stop-after", str(len(lines)))
+    assert push_lines(port, lines) == ["OK"] * len(lines)
+    proc.communicate(timeout=10)
+    assert proc.returncode == 0
+
+    log = tmp_path / "events.log"
+    log.write_text("".join(line + "\n" for line in lines))
+    ran = tmp_path / "ran"
+    assert run_cli(
+        "run", PROGRAMS / "biathlon.ez",
+        "--runners", ROSTERS / "biathlon.csv",
+        "--events", log, "--rank", "RUN", "--out", ran,
+    ) == 0
+    served = (tmp_path / "served" / "results.csv").read_bytes()
+    assert served == (ran / "results.csv").read_bytes()
+    assert b"\r\n1,2,Horvat,Ivo,male,1,4,0,\r\n" in served  # BI002 at the starting values
+
+
+def test_serve_restart_cuts_a_torn_journal_line(tmp_path, start_serve):
+    # a crash mid-write leaves a last line without its newline; it was never acked
+    journal = tmp_path / "served" / "journal.log"
+    journal.parent.mkdir()
+    journal.write_bytes(b"1,BI001,1000,60\n2,BI001,2")
+    proc, port = start_serve("--stop-after", "1")
+    assert push_lines(port, ["2,BI002,3000"], journal) == ["OK"]
+    _, err = proc.communicate(timeout=10)
+    assert proc.returncode == 0
+    assert journal.read_text() == "1,BI001,1000,60\n2,BI002,3000\n"
+    assert err == f"warning: {journal}: dropped 9 bytes of a torn last line: '2,BI001,2'\n"
+
+    rerun = tmp_path / "rerun"
+    assert run_cli(
+        "results", PROGRAMS / "biathlon.ez",
+        "--runners", ROSTERS / "biathlon.csv",
+        "--journal", journal, "--rank", "RUN", "--out", rerun,
+    ) == 0
+    assert (rerun / "results.csv").read_bytes() == (tmp_path / "served" / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kept, torn", [
+    (b"", b""), (b"1,A,1\n", b""), (b"", b"1,A"), (b"1,A,1\n\n", b"2"),
+    # tails longer than one block read back from the end
+    (b"x" * 5000 + b"\n", b"y" * 5000), (b"1,A,1\n", b"z" * 9000),
+])
+def test_cut_torn_tail_keeps_the_journal_up_to_its_last_newline(tmp_path, capsys, kept, torn):
+    journal = tmp_path / "journal.log"
+    journal.write_bytes(kept + torn)
+    _cut_torn_tail(journal)
+    assert journal.read_bytes() == kept
+    err = capsys.readouterr().err
+    assert err == (f"warning: {journal}: dropped {len(torn)} bytes of a torn last line:"
+                   f" {torn.decode()!r}\n" if torn else "")
 
 
 def test_serve_restart_after_kill_keeps_every_acked_event(tmp_path, start_serve):

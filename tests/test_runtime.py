@@ -72,15 +72,22 @@ def test_init_race_warns_on_unmapped_category():
     assert "category 7" in warning.message
 
 
-def test_init_race_gives_runners_of_one_category_their_own_variables():
-    _, state = compiled("cyclocross")
-    other = Runner(4, "TAG004", "Zupan", "Eva", "female", 1)
-    race = init_race(state, [ANA, other])
-    ana, eva = race.per_runner["TAG001"], race.per_runner["TAG004"]
-    assert ana == eva and ana is not eva
-    ana["ROUND1"] = 0
-    assert eva["ROUND1"] == 4
-    assert init_race(state, [ANA]).per_runner["TAG001"]["ROUND1"] == 4
+def test_init_race_shares_one_dict_per_category_until_a_runners_first_event():
+    ast, state = compiled("cyclocross")
+    eva = Runner(4, "TAG004", "Zupan", "Eva", "female", 1)
+    roster = [ANA, MAJA, IVO, eva, Runner(5, "TAG005", "Kos", "Jan", "male", 3)]
+    race = init_race(state, roster)
+    assert len({id(v) for v in race.per_runner.values()}) == 3  # one dict per category
+    original = dict(race.per_runner)
+    stmts = {place.mp_id: place.stmts for place in ast.places}[1]
+    assert run_statements(stmts, race.per_runner, Event(1, "TAG001", 1000), []) != ()
+    ana = race.per_runner["TAG001"]
+    assert ana["ROUND1"] == 3
+    assert all(v is not ana for rfid, v in race.per_runner.items() if rfid != "TAG001")
+    assert len({id(v) for v in race.per_runner.values()}) == 4  # TAG001 has their own dict; 3 still shared
+    assert race.per_runner["TAG004"] is original["TAG004"]
+    assert race.per_runner["TAG004"]["ROUND1"] == 4
+    assert init_race(state, roster).per_runner == original
 
 
 def test_init_race_warns_in_roster_then_variable_order():
@@ -417,17 +424,17 @@ def test_property_in_place_steps_equal_replay():
         ast, state, roster, events = random_race(rng)
         stmts_at = {place.mp_id: place.stmts for place in ast.places}
         live = init_race(state, roster)
+        start = dict(live.per_runner)
         warnings, fired = list(live.warnings), []
         for event in events:
-            variables = live.per_runner.get(event.rfid)
-            if variables is None:
-                fired.append(())
-            else:
-                fired.append(run_statements(stmts_at[event.mp_id], variables, event, warnings))
+            fired.append(run_statements(stmts_at[event.mp_id], live.per_runner, event, warnings))
         replayed = replay(init_race(state, roster), ast, events)
         assert live.per_runner == replayed.per_runner
         assert tuple(warnings) == replayed.warnings
-        assert fired == [entry.fired for entry in replayed.log]
+        assert [f or () for f in fired] == [entry.fired for entry in replayed.log]
+        assert [f is not None for f in fired] == [entry.matched for entry in replayed.log]
+        # the step replaced entries and wrote to none of the shared starting dicts
+        assert start == init_race(state, roster).per_runner
         ghosts += sum(not entry.matched for entry in replayed.log)
         skipped_decs += len(warnings) - len(live.warnings)
     assert ghosts and skipped_decs  # both branches were exercised
@@ -484,11 +491,11 @@ def test_property_race_results_equal_the_direct_reference():
         roster = [Runner(rid, f"R{rid}", f"Last{rid}", f"First{rid}",
                          rng.choice(("female", "male")), rng.randint(0, 3)) for rid in ids]
         race = init_race(state, roster)
-        for variables in race.per_runner.values():
-            for i, name in enumerate(variables):
-                # V0 is always defined, the others only sometimes; few values, so ranks tie
-                defined = i == 0 or rng.random() < 0.6
-                variables[name] = rng.randint(0, 3) if defined else None
+        for rfid, variables in race.per_runner.items():
+            # V0 is always defined, the others only sometimes; few values, so ranks tie;
+            # entries are replaced, because runners of one category share their starting dict
+            race.per_runner[rfid] = {name: rng.randint(0, 3) if i == 0 or rng.random() < 0.6
+                                     else None for i, name in enumerate(variables)}
         for rank_var in (None, *race.var_names):
             for group_by in (None, *GROUPINGS):
                 tables = race_results(race, rank_var=rank_var, group_by=group_by)
