@@ -9,6 +9,7 @@ one thread and hands events to its sink one at a time, in arrival order.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import selectors
 import socket
@@ -113,21 +114,24 @@ def format_event(event: Event) -> str:
     return line
 
 
-def read_event_log(path: str | Path) -> list[Event]:
-    """Events from a file, sorted by timestamp with stable ties.
+def read_event_log(path: str | Path, size: int = -1) -> list[Event]:
+    """Events from a file, or from its first ``size`` bytes (all of it if ``size`` is -1),
+    sorted by timestamp with stable ties.
 
     Blank lines and lines starting with ``#`` are skipped.
     """
     events: list[Event] = []
-    with open(path, encoding="ascii") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                events.append(parse_event_line(stripped))
-            except MalformedEventError as exc:
-                raise MalformedEventError(exc.reason, line=lineno) from None
+    with open(path, "rb") as handle:
+        data = handle.read(size)
+    # newline=None splits lines as a file opened in text mode would
+    for lineno, line in enumerate(io.StringIO(data.decode("ascii"), newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            events.append(parse_event_line(stripped))
+        except MalformedEventError as exc:
+            raise MalformedEventError(exc.reason, line=lineno) from None
     events.sort(key=lambda e: e.timestamp_ms)  # sort() is stable
     return events
 

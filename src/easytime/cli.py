@@ -115,8 +115,9 @@ def _export_results(race, args, out_dir: Path) -> None:
         raise _Failure(EXIT_IO, f"cannot write results: {exc.strerror}")
 
 
-def _start(args, event_paths):
-    """Compile, load the roster, check ``--rank``, replay the events by timestamp."""
+def _start(args, event_paths, read_events=read_event_log):
+    """Compile, load the roster, check ``--rank``, replay the events of ``read_events(path)``
+    for each path, by timestamp."""
     ast, state = _compile(args.program, args.dialect)
     race = _read(args.runners, lambda path: init_race(state, load_runners(path)), "roster")
     try:
@@ -126,7 +127,7 @@ def _start(args, event_paths):
 
     events = []
     for path in event_paths:
-        events.extend(_read(path, read_event_log, "event log"))
+        events.extend(_read(path, read_events, "event log"))
     events.sort(key=lambda e: e.timestamp_ms)
 
     for warning in race.warnings:
@@ -148,36 +149,54 @@ def cmd_run(args) -> None:
     _export_results(race, args, out_dir)
 
 
+def _torn_tail(path) -> tuple[int, bytes]:
+    """The length of ``path`` up to its last newline, and the bytes after it, read from the end.
+
+    A crash in the middle of a write leaves a last line that was never acked;
+    replayed, it would be a made-up event.
+    """
+    with open(path, "rb") as journal:
+        end = journal.seek(0, os.SEEK_END)
+        torn = b""
+        while len(torn) < end:
+            step = min(end - len(torn), 4096)
+            journal.seek(end - len(torn) - step)
+            chunk = journal.read(step)
+            newline = chunk.rfind(b"\n")
+            torn = chunk[newline + 1:] + torn
+            if newline >= 0:
+                break
+    return end - len(torn), torn
+
+
+def _warn_torn(path, torn: bytes) -> None:
+    if torn:
+        print(f"warning: {path}: dropped {len(torn)} bytes of a torn last line:"
+              f" {torn.decode('latin-1')!r}", file=sys.stderr)
+
+
+def _read_journal(path) -> list:
+    """A journal's events without its torn last line, which is warned of; the file is left as it is."""
+    kept, torn = _torn_tail(path)
+    _warn_torn(path, torn)
+    return read_event_log(path, kept)
+
+
 def cmd_results(args) -> None:
-    _, race = _start(args, [args.journal])
+    _, race = _start(args, [args.journal], _read_journal)
     _export_results(race, args, _out_dir(args))
 
 
 def _cut_torn_tail(path: Path) -> None:
-    """Cut ``path`` back to its last newline, reading from the end, and warn of the cut.
-
-    A crash in the middle of a write leaves a last line that was never acked;
-    replayed, it would be a made-up event, and the next append would run onto it.
-    """
+    """Cut ``path`` back to its last newline, so the next append starts a line of its own,
+    and warn of the cut."""
     try:
-        with open(path, "r+b") as journal:
-            end = journal.seek(0, os.SEEK_END)
-            torn = b""
-            while len(torn) < end:
-                step = min(end - len(torn), 4096)
-                journal.seek(end - len(torn) - step)
-                chunk = journal.read(step)
-                newline = chunk.rfind(b"\n")
-                torn = chunk[newline + 1:] + torn
-                if newline >= 0:
-                    break
-            if torn:
-                journal.truncate(end - len(torn))
+        kept, torn = _torn_tail(path)
+        if torn:
+            os.truncate(path, kept)
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot repair journal: {exc.strerror}")
-    if torn:
-        print(f"warning: {path}: dropped {len(torn)} bytes of a torn last line:"
-              f" {torn.decode('latin-1')!r}", file=sys.stderr)
+    _warn_torn(path, torn)
 
 
 def cmd_serve(args) -> None:

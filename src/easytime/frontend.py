@@ -3,11 +3,14 @@
 ``tokenize`` applies a lexicon with maximal munch (longest match wins, ties
 broken by rule priority) and emits every character of the source as a token,
 including whitespace and comments, so the token stream reproduces the input
-exactly.  ``parse`` is one table-driven loop with single-token lookahead:
-each call derives a prediction trie per nonterminal from the definition's
-productions, alternatives sharing a prefix share a trie path until the
-lookahead separates them, and an explicit stack replaces recursion, so how
-deeply a program nests is bounded by memory and not by the recursion limit.
+exactly.  Each call works out from the parsed patterns which rules can start
+a match with each ASCII character, and a position tries only those; a rule
+the analysis cannot bound is tried everywhere.  ``parse`` is one
+table-driven loop with single-token lookahead: each call derives a
+prediction trie per nonterminal from the definition's productions,
+alternatives sharing a prefix share a trie path until the lookahead
+separates them, and an explicit stack replaces recursion, so how deeply a
+program nests is bounded by memory and not by the recursion limit.
 Semantic values are built bottom-up by handlers looked up per production
 action key, which is what makes an overridden rule group change the
 produced syntax tree.
@@ -16,6 +19,7 @@ produced syntax tree.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .langdef import TRIVIA, LanguageDef, LexRule, Production, symbol_kind
@@ -40,12 +44,9 @@ class ParseError(Exception):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+# Tokens are named tuples: immutable, built cheaply by the ten thousand, and
+# equal to plain tuples of the same fields.
+Token = namedtuple("Token", "kind text line column")
 
 
 # --- Syntax tree ------------------------------------------------------
@@ -104,9 +105,83 @@ class ProgramAst:
 
 
 # --- Tokenizer --------------------------------------------------------
+# The regex parser is private: re._parser since Python 3.11, sre_parse before.
+try:
+    from re import _compiler as _sre_compile, _parser as _sre_parse
+except ImportError:  # Python 3.10
+    import sre_compile as _sre_compile
+    import sre_parse as _sre_parse
+
+_ASCII = range(128)
+_ASCII_TEXT = "".join(map(chr, _ASCII))  # each character at the index of its code
+
+
+def _firsts(items, state) -> tuple[set[int], bool]:
+    """The codes a non-empty match of parsed ``items`` can start with, and whether
+    ``items`` can match empty.  Raises ``ValueError`` on a construct it cannot bound."""
+    firsts: set[int] = set()
+    for op, av in items:
+        if op == _sre_parse.AT:  # zero-width anchor
+            item, nullable = set(), True
+        elif op == _sre_parse.LITERAL:
+            item, nullable = {av}, False
+        elif op in (_sre_parse.NOT_LITERAL, _sre_parse.IN, _sre_parse.ANY):
+            # ask the engine: in Unicode mode \s also matches \x1c-\x1f
+            one = _sre_compile.compile(_sre_parse.SubPattern(state, [(op, av)]))
+            item, nullable = {m.start() for m in one.finditer(_ASCII_TEXT)}, False
+        elif op == _sre_parse.BRANCH:
+            branches = [_firsts(branch, state) for branch in av[1]]
+            item = set().union(*(branch for branch, _ in branches))
+            nullable = any(empty for _, empty in branches)
+        elif op == _sre_parse.SUBPATTERN and not av[1] and not av[2]:  # no scoped flags
+            item, nullable = _firsts(av[3], state)
+        elif op in (_sre_parse.MAX_REPEAT, _sre_parse.MIN_REPEAT):
+            low, high, repeated = av
+            item, nullable = _firsts(repeated, state) if high else (set(), True)
+            nullable = nullable or low == 0
+        else:  # lookarounds, group references, scoped flags, newer opcodes
+            raise ValueError(f"cannot bound the first character of {op}")
+        firsts |= item
+        if not nullable:
+            return firsts, False
+    return firsts, True
+
+
+def _first_codes(pattern: str) -> range | set[int]:
+    """The ASCII codes a non-empty match of ``pattern`` can start with; all of them
+    when the analysis cannot tell, which costs speed but never changes a token."""
+    try:
+        parsed = _sre_parse.parse(pattern)
+        if parsed.state.flags != _sre_parse.SRE_FLAG_UNICODE:  # an inline flag such as (?i)
+            return _ASCII
+        firsts, _ = _firsts(parsed, parsed.state)
+    except Exception:  # any failure of the private parser falls back, as above
+        return _ASCII
+    return {code for code in firsts if code in _ASCII}
+
+
+def _dispatch(lexicon) -> list[list[tuple]]:
+    """Per ASCII code, ``(name, priority, match)`` of each rule, in lexicon order,
+    that can produce a non-empty match starting with that character."""
+    table: list[list[tuple]] = [[] for _ in _ASCII]
+    for rule in lexicon:
+        entry = (rule.name, rule.priority, re.compile(rule.pattern).match)
+        for code in _first_codes(rule.pattern):
+            table[code].append(entry)
+    return table
+
 
 def tokenize(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> list[Token]:
-    """Split source into tokens; trivia (whitespace, comments) is included."""
+    """Split source into tokens; trivia (whitespace, comments) is included.
+
+    Each call builds a table from the first character to the lexicon rules
+    that can start a non-empty match with it, worked out from each parsed
+    pattern.  A position tries only its character's rules, in lexicon order,
+    and keeps the longest match, then the lower priority, then the earlier
+    rule.  A rule whose pattern uses a construct the analysis does not bound
+    (a lookaround, a group reference, an inline flag) is tried at every
+    position, so the table never changes the tokens.
+    """
     if not source.isascii():
         line, column = 1, 1
         for ch in source:
@@ -116,30 +191,29 @@ def tokenize(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> list[
                 line, column = line + 1, 1
             else:
                 column += 1
-    compiled = [(rule, re.compile(rule.pattern)) for rule in lexicon]
+    table = _dispatch(lexicon)
 
     tokens: list[Token] = []
-    pos, line, column = 0, 1, 1
+    append, new_tuple = tokens.append, tuple.__new__  # skips Token's Python-level __new__
+    pos, line, line_start = 0, 1, 0
     while pos < len(source):
-        best: tuple[tuple[int, int], LexRule, str] | None = None
-        for rule, pattern in compiled:
-            m = pattern.match(source, pos)
-            if m is None or m.end() == pos:  # ignore empty matches
+        name, end, priority = None, pos, 0
+        for rule_name, rule_priority, match in table[ord(source[pos])]:
+            m = match(source, pos)
+            if m is None:
                 continue
-            key = (pos - m.end(), rule.priority)  # longest first, then priority
-            if best is None or key < best[0]:
-                best = (key, rule, m.group())
-        if best is None:
-            raise LexError(line, column, f"unexpected character {source[pos]!r}")
-        _, rule, text = best
-        tokens.append(Token(rule.name, text, line, column))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            column = len(text) - text.rfind("\n")
-        else:
-            column += len(text)
-        pos += len(text)
+            stop = m.end()
+            # longest first, then priority; empty matches are ignored
+            if stop > end or (stop == end > pos and rule_priority < priority):
+                name, end, priority = rule_name, stop, rule_priority
+        if name is None:
+            raise LexError(line, pos - line_start + 1, f"unexpected character {source[pos]!r}")
+        text = source[pos:end]
+        append(new_tuple(Token, (name, text, line, pos - line_start + 1)))
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = pos + text.rfind("\n") + 1
+        pos = end
     return tokens
 
 

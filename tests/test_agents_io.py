@@ -152,6 +152,20 @@ def test_read_event_log_reports_line_number(tmp_path):
     assert err.value.line == 3
 
 
+def test_read_event_log_splits_lines_as_text_mode_and_reads_a_prefix(tmp_path):
+    path = tmp_path / "events.log"
+    data = b"1,A,5000\r\n1,B,3000\r2,A,6000\nbroken"
+    path.write_bytes(data)
+    assert read_event_log(path, data.rindex(b"\n") + 1) == [
+        Event(1, "B", 3000), Event(1, "A", 5000), Event(2, "A", 6000)]
+    with pytest.raises(MalformedEventError) as err:
+        read_event_log(path)
+    assert err.value.line == 4
+    path.write_bytes(b"1,A,5000\n\xc3\xa9\n")
+    with pytest.raises(UnicodeDecodeError):
+        read_event_log(path)
+
+
 def test_write_event_log_round_trip(tmp_path):
     events = [Event(1, "A", 10), Event(2, "B", 20, payload=3)]
     path = tmp_path / "out.log"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import socket
 import subprocess
 import sys
@@ -234,6 +235,54 @@ def test_results_reexports_from_journal(tmp_path):
     assert not (second / "journal.log").exists()
 
 
+def bi001_penalty(results: Path) -> str:
+    with results.open(newline="") as handle:
+        return next(row["PENALTY"] for row in csv.DictReader(handle) if row["id"] == "1")
+
+
+# a crash after "2,BI001,2000" was written but before its newline: that event was never acked
+TORN_JOURNAL = b"1,BI001,1000,60\n2,BI001,2000"
+
+
+def test_results_skips_a_torn_journal_line_and_leaves_the_file(tmp_path, capsys):
+    journal = tmp_path / "journal.log"
+    journal.write_bytes(TORN_JOURNAL)
+    assert run_cli(
+        "results", PROGRAMS / "biathlon.ez",
+        "--runners", ROSTERS / "biathlon.csv",
+        "--journal", journal, "--rank", "RUN", "--out", tmp_path / "out",
+    ) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {journal}: dropped 12 bytes of a torn last line: '2,BI001,2000'\n")
+    assert journal.read_bytes() == TORN_JOURNAL
+    assert bi001_penalty(tmp_path / "out" / "results.csv") == "60"
+
+
+def test_results_skips_a_torn_line_that_is_not_an_event(tmp_path, capsys):
+    journal = tmp_path / "journal.log"
+    journal.write_bytes(b"1,BI001,1000,60\n2,BI0")
+    assert run_cli(
+        "results", PROGRAMS / "biathlon.ez",
+        "--runners", ROSTERS / "biathlon.csv",
+        "--journal", journal, "--rank", "RUN", "--out", tmp_path / "out",
+    ) == 0
+    assert "dropped 5 bytes of a torn last line: '2,BI0'" in capsys.readouterr().err
+    assert bi001_penalty(tmp_path / "out" / "results.csv") == "60"
+
+
+def test_run_reads_an_event_file_without_a_final_newline(tmp_path, capsys):
+    # manual event files may end without a newline, so only journals have torn lines
+    events = tmp_path / "events.log"
+    events.write_bytes(TORN_JOURNAL)
+    assert run_cli(
+        "run", PROGRAMS / "biathlon.ez",
+        "--runners", ROSTERS / "biathlon.csv",
+        "--events", events, "--rank", "RUN", "--out", tmp_path / "out",
+    ) == 0
+    assert "torn" not in capsys.readouterr().err
+    assert bi001_penalty(tmp_path / "out" / "results.csv") == "59"
+
+
 # --- serve ------------------------------------------------------------
 
 def serve_command(out: Path, *args: str) -> list[str]:
@@ -357,6 +406,24 @@ def test_serve_restart_cuts_a_torn_journal_line(tmp_path, start_serve):
         "--journal", journal, "--rank", "RUN", "--out", rerun,
     ) == 0
     assert (rerun / "results.csv").read_bytes() == (tmp_path / "served" / "results.csv").read_bytes()
+
+
+def test_serve_restart_and_results_agree_on_a_torn_journal(tmp_path, start_serve):
+    journal = tmp_path / "served" / "journal.log"
+    journal.parent.mkdir()
+    journal.write_bytes(TORN_JOURNAL)
+    assert run_cli(
+        "results", PROGRAMS / "biathlon.ez",
+        "--runners", ROSTERS / "biathlon.csv",
+        "--journal", journal, "--rank", "RUN", "--out", tmp_path / "results",
+    ) == 0
+    proc, port = start_serve("--stop-after", "1")
+    assert push_lines(port, ["3,BI002,3000"], journal) == ["OK"]
+    _, err = proc.communicate(timeout=10)
+    assert proc.returncode == 0
+    assert err == f"warning: {journal}: dropped 12 bytes of a torn last line: '2,BI001,2000'\n"
+    assert bi001_penalty(tmp_path / "results" / "results.csv") == "60"
+    assert bi001_penalty(tmp_path / "served" / "results.csv") == "60"
 
 
 @pytest.mark.parametrize("kept, torn", [

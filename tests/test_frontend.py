@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,9 @@ from easytime.frontend import (
     Predicate,
     ProgramAst,
     Statement,
+    Token,
     VarDecl,
+    _first_codes,
     parse_source,
     pretty,
     tokenize,
@@ -106,6 +109,86 @@ def test_lex_error_position_and_nonascii():
 def test_comma_is_a_lex_error_in_base():
     with pytest.raises(LexError):
         tokenize("var X := {1,2};", easytime_base().lexicon)
+
+
+def test_token_is_an_immutable_named_tuple():
+    token = tokenize("var", easytime_base().lexicon)[0]
+    assert type(token) is Token
+    assert Token._fields == ("kind", "text", "line", "column")
+    assert token == Token("Keyword", "var", 1, 1) == ("Keyword", "var", 1, 1)
+    assert (token.kind, token.text, token.line, token.column) == ("Keyword", "var", 1, 1)
+    with pytest.raises(AttributeError):
+        token.text = "dec"
+
+
+@pytest.mark.parametrize("lang", [easytime_base(), easytime_pp()], ids=lambda lang: lang.name)
+def test_every_easytime_rule_is_dispatched_on_its_first_characters(lang):
+    # a rule the first-character analysis cannot bound is tried everywhere: still correct,
+    # but a Python whose private regex parser has changed should fail here, not run slowly
+    for rule in lang.lexicon:
+        codes = set(_first_codes(rule.pattern))
+        assert codes and codes < set(range(128)), rule.name
+
+
+def brute_force_tokenize(source: str, lexicon) -> list[tuple]:
+    """The reference: every rule at every position; longest match, then lower priority,
+    then the earlier rule; empty matches ignored."""
+    compiled = [(rule, re.compile(rule.pattern)) for rule in lexicon]
+    tokens = []
+    pos, line, column = 0, 1, 1
+    while pos < len(source):
+        best = None
+        for rule, pattern in compiled:
+            m = pattern.match(source, pos)
+            if m is None or m.end() == pos:
+                continue
+            key = (pos - m.end(), rule.priority)
+            if best is None or key < best[0]:
+                best = (key, rule.name, m.group())
+        if best is None:
+            raise LexError(line, column, f"unexpected character {source[pos]!r}")
+        _, name, text = best
+        tokens.append((name, text, line, column))
+        if "\n" in text:
+            line += text.count("\n")
+            column = len(text) - text.rfind("\n")
+        else:
+            column += len(text)
+        pos += len(text)
+    return tokens
+
+
+# equal-length ties between rules, nullable patterns, classes and negated classes,
+# a nullable branch, anchors, and constructs the first-character analysis does not
+# bound (lookarounds, a group reference, inline and scoped flags)
+PATTERN_POOL = (
+    r"[a-c]+", r"[b-d]+", r"b+", r"ab|a", r"a*", r"x?y?", r"c{0}d", r"a+?b",
+    r"\d+", r"\w+", r"\s", r"\s+\d", r"[^ab\n]", r"[^\w]+", r".", r"(?:1|22)+",
+    r"(?:cd|)e?", r"(?:|q)z", r"-|->", r"\bq", r"^z", r"$", r"(?=a)\w\w", r"(?!b)[a-d]",
+    r"(a)\1", r"(?i)AB", r"(?i:a)b", r"(?s).\n",
+)
+ALPHABET = "abcdeqxyzAB012- \t\n"
+
+
+def lex_outcome(tokenizer, source: str, lexicon) -> tuple:
+    try:
+        return ("tokens", [tuple(token) for token in tokenizer(source, lexicon)])
+    except LexError as exc:
+        return ("error", exc.line, exc.column, exc.message)
+
+
+def test_tokenize_equals_trying_every_rule_at_every_position():
+    rng = random.Random(9)
+    for _ in range(250):
+        patterns = rng.sample(PATTERN_POOL, rng.randint(2, 7))
+        lexicon = [LexRule(f"R{i}", p, rng.randint(0, 2)) for i, p in enumerate(patterns)]
+        for _ in range(8):
+            source = "".join(
+                rng.choice(ALPHABET) if rng.random() < 0.9 else chr(rng.randrange(128))
+                for _ in range(rng.randint(0, 30))
+            )
+            expected = lex_outcome(brute_force_tokenize, source, lexicon)
+            assert lex_outcome(tokenize, source, lexicon) == expected, (patterns, source)
 
 
 def test_parse_ironman_shape():
