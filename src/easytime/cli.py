@@ -15,7 +15,6 @@ import contextlib
 import os
 import signal
 import sys
-import threading
 from pathlib import Path
 
 from .agents_io import (
@@ -200,6 +199,8 @@ def _cut_torn_tail(path: Path) -> None:
 
 
 def cmd_serve(args) -> None:
+    import threading  # loaded for serve alone, like the listener
+
     out_dir = _out_dir(args)
     journal_path = out_dir / JOURNAL_NAME
     # a restart resumes the journal a previous serve left behind

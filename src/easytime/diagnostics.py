@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # ERROR or WARNING
-    code: str
-    message: str
-    line: int = 0
-    column: int = 0
+# severity is ERROR or WARNING
+class Diagnostic(namedtuple("Diagnostic", "severity code message line column", defaults=(0, 0))):
+    __slots__ = ()
 
     def render(self, filename: str = "<input>") -> str:
         return (

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from .langdef import TRIVIA, LanguageDef, LexRule, Production, symbol_kind
 
@@ -50,58 +49,42 @@ Token = namedtuple("Token", "kind text line column")
 
 
 # --- Syntax tree ------------------------------------------------------
-# Positions are carried for error reporting but excluded from equality so
-# that a reparsed pretty-print compares equal to the original tree.
+# Nodes are named tuples.  Positions are carried for error reporting but
+# excluded from equality so that a reparsed pretty-print compares equal to
+# the original tree.
 
-@dataclass(frozen=True)
-class AgentDecl:
-    id: int
-    kind: str  # "manual" or "auto"
-    source: str  # file path or dotted-quad address
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+class _Positioned(tuple):
+    """Base of the nodes ``_positioned`` makes: equality and hashing leave out ``line``
+    and ``column``, their last two fields, and a node equals only nodes of its own type."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class VarDecl:
-    name: str
-    kind: str  # "plain", "categorized" or "dynamic"
-    value: int | None = None
-    arms: tuple[tuple[int, int], ...] | None = None
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:-2] == other[:-2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-2])
 
 
-@dataclass(frozen=True)
-class Predicate:
-    kind: str  # "true" or "equals"
-    var: str | None = None
-    value: int | None = None
+def _positioned(name: str, fields: str, defaults: tuple = ()) -> type:
+    """A node type with ``fields``, then ``line`` and ``column``, which default to 0."""
+    base = namedtuple(name, f"{fields} line column", defaults=(*defaults, 0, 0))
+    return type(name, (_Positioned, base), {"__slots__": ()})
 
 
-@dataclass(frozen=True)
-class Statement:
-    pred: Predicate
-    instr: str  # "upd" or "dec"
-    target: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class MeasuringPlace:
-    mp_id: int
-    agent_id: int
-    stmts: tuple[Statement, ...]
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class ProgramAst:
-    agents: tuple[AgentDecl, ...]
-    decls: tuple[VarDecl, ...]
-    places: tuple[MeasuringPlace, ...]
+# kind is "manual" or "auto"; source a file path or dotted-quad address
+AgentDecl = _positioned("AgentDecl", "id kind source")
+# kind is "plain", "categorized" or "dynamic"; arms are (category, value) pairs
+VarDecl = _positioned("VarDecl", "name kind value arms", defaults=(None, None))
+# kind is "true" or "equals"
+Predicate = namedtuple("Predicate", "kind var value", defaults=(None, None))
+# instr is "upd" or "dec"
+Statement = _positioned("Statement", "pred instr target")
+MeasuringPlace = _positioned("MeasuringPlace", "mp_id agent_id stmts")
+ProgramAst = namedtuple("ProgramAst", "agents decls places")
 
 
 # --- Tokenizer --------------------------------------------------------

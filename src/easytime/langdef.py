@@ -20,7 +20,7 @@ overriding a group rebinds its keys.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .diagnostics import ERROR, Diagnostic
 
@@ -52,51 +52,23 @@ class ConflictingBasesError(ComposeError):
     pass
 
 
-@dataclass(frozen=True)
-class LexRule:
-    """One lexical class.  Lower priority wins ties between equal-length matches."""
+# Definitions are named tuples: immutable, and equal to plain tuples of the same fields.
+LexRule = namedtuple("LexRule", "name pattern priority")
+LexRule.__doc__ = "One lexical class.  Lower priority wins ties between equal-length matches."
 
-    name: str
-    pattern: str
-    priority: int
+Production = namedtuple("Production", "lhs rhs action_key")  # rhs is a tuple of symbols
 
+RuleGroup = namedtuple("RuleGroup", "name productions")
+RuleGroup.__doc__ = "A named, ordered bundle of productions (the unit of override/extend)."
 
-@dataclass(frozen=True)
-class Production:
-    lhs: str
-    rhs: tuple[str, ...]
-    action_key: str
+Modifier = namedtuple("Modifier", "kind target")  # kind is ADD, EXTENDS or OVERRIDES
 
+# rule_groups maps each group's name to the group
+LanguageDef = namedtuple("LanguageDef", "name lexicon rule_groups start_symbol")
 
-@dataclass(frozen=True)
-class RuleGroup:
-    """A named, ordered bundle of productions (the unit of override/extend)."""
-
-    name: str
-    productions: tuple[Production, ...]
-
-
-@dataclass(frozen=True)
-class Modifier:
-    kind: str  # ADD, EXTENDS or OVERRIDES
-    target: str
-
-
-@dataclass(frozen=True)
-class LanguageDef:
-    name: str
-    lexicon: tuple[LexRule, ...]
-    rule_groups: dict[str, RuleGroup]
-    start_symbol: str
-
-
-@dataclass(frozen=True)
-class LanguageFragment:
-    """An extension: not a language by itself, only meaningful over a base."""
-
-    name: str
-    lexicon_mods: tuple[tuple[Modifier, LexRule], ...] = ()
-    rule_mods: tuple[tuple[Modifier, RuleGroup], ...] = ()
+# mods are (Modifier, LexRule) and (Modifier, RuleGroup) pairs
+LanguageFragment = namedtuple("LanguageFragment", "name lexicon_mods rule_mods", defaults=((), ()))
+LanguageFragment.__doc__ = "An extension: not a language by itself, only meaningful over a base."
 
 
 def symbol_kind(symbol: str) -> str:
@@ -151,11 +123,11 @@ def compose_language(
             if name not in lexicon:
                 raise UnknownTargetError(f"no lexicon rule {name} in any base")
             old = lexicon[name]
-            lexicon[name] = replace(old, pattern=f"(?:{old.pattern})|(?:{rule.pattern})")
+            lexicon[name] = old._replace(pattern=f"(?:{old.pattern})|(?:{rule.pattern})")
         elif modifier.kind == OVERRIDES:
             if name not in lexicon:
                 raise UnknownTargetError(f"no lexicon rule {name} in any base")
-            lexicon[name] = replace(rule, name=name)
+            lexicon[name] = rule._replace(name=name)
             conflicts.discard(f"lexicon rule {name}")
         else:
             raise ComposeError(f"unknown modifier kind {modifier.kind!r}")

@@ -1,0 +1,116 @@
+"""TCP listener for automatic agents, loaded by ``agents_io.listen_auto``."""
+
+from __future__ import annotations
+
+import logging
+import selectors
+import socket
+import threading
+
+from .agents_io import MAX_LINE_BYTES, MalformedEventError, parse_event_line
+
+logger = logging.getLogger(__name__)
+
+
+class AutoAgentListener:
+    """TCP line-protocol server standing in for automatic measuring devices.
+
+    One thread runs a selector loop over all connections and calls the sink
+    in arrival order.  A line is answered ``OK`` after the sink returns, or
+    ``ERR <reason>`` if it is malformed or the sink raises; the connection
+    stays open.  A client whose unterminated line exceeds ``MAX_LINE_BYTES``,
+    or who leaves replies unread until the kernel takes no more, is cut off.
+    """
+
+    def __init__(self, port: int, sink):
+        self._sink = sink
+        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            self._server.bind(("0.0.0.0", port))
+        except BaseException:  # OSError, or OverflowError for a port out of range
+            self._server.close()
+            raise
+        self._server.listen()
+        self._server.setblocking(False)
+        self.port = self._server.getsockname()[1]
+        # stop() writes a byte to _wake_w to end the loop's select()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._server, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._loop, name="easytime-listener", daemon=True)
+        self._thread.start()
+        logger.info("listening on port %d", self.port)
+
+    def _loop(self) -> None:
+        try:
+            while True:
+                for key, _ in self._selector.select():
+                    if key.fileobj is self._wake_r:
+                        return
+                    if key.fileobj is self._server:
+                        self._accept()
+                    else:
+                        self._read(key.fileobj, key.data)
+        finally:
+            for key in self._selector.get_map().values():
+                key.fileobj.close()
+            self._selector.close()
+            self._wake_w.close()
+
+    def _accept(self) -> None:
+        try:
+            conn, addr = self._server.accept()
+        except OSError:  # the client gave up before we got to it
+            return
+        logger.debug("connection from %s", addr)
+        conn.setblocking(False)
+        self._selector.register(conn, selectors.EVENT_READ, bytearray())
+
+    def _read(self, conn: socket.socket, buffer: bytearray) -> None:
+        try:
+            chunk = conn.recv(65536)
+        except OSError:
+            chunk = b""
+        buffer += chunk
+        end = buffer.rfind(b"\n") + 1
+        out = "".join(self._handle(raw) for raw in buffer[:end].split(b"\n") if raw.strip())
+        del buffer[:end]
+        try:
+            # never wait on a client that leaves its replies unread: drop it
+            sent = conn.send(out.encode("ascii", errors="replace")) if out else 0
+        except OSError:
+            sent = 0
+        if not chunk or sent < len(out) or len(buffer) > MAX_LINE_BYTES:
+            self._selector.unregister(conn)
+            conn.close()
+
+    def _handle(self, raw: bytearray) -> str:
+        try:
+            event = parse_event_line(raw.decode("ascii", errors="replace"))
+        except MalformedEventError as exc:
+            return f"ERR {exc.reason}\n"
+        try:
+            self._sink(event)
+        except Exception as exc:
+            logger.exception("event sink failed")
+            return f"ERR {' '.join(str(exc).split())}\n"
+        return "OK\n"
+
+    def stop(self) -> None:
+        """Close the server and every connection; lines not yet read get no reply.
+
+        Every ``OK`` already sent was for an event the sink returned from.
+        """
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # the loop has already ended and closed it
+            pass
+        self._thread.join()
+
+    def __enter__(self) -> "AutoAgentListener":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()

@@ -13,7 +13,6 @@ race and runs the step on it directly.
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 
 from .frontend import Predicate, ProgramAst, Statement
@@ -43,43 +42,23 @@ class UnknownVariableError(Exception):
     pass
 
 
-# Runners and events are named tuples: cheap to build by the ten thousand,
-# immutable, and equal to plain tuples of the same fields.  ``gender`` is an
-# element of GENDERS.
+# Runners, events and the records below are named tuples: cheap to build by the
+# ten thousand, immutable, and equal to plain tuples of the same fields.
+# ``gender`` is an element of GENDERS.
 Runner = namedtuple("Runner", "id rfid last_name first_name gender category")
 Event = namedtuple("Event", "mp_id rfid timestamp_ms payload", defaults=(None,))
 Event.__doc__ = "One crossing or device reading."
 
+RaceWarning = namedtuple("RaceWarning", "rfid variable message")
+LogEntry = namedtuple("LogEntry", "event fired matched")  # fired: the statements that ran
 
-@dataclass(frozen=True)
-class RaceWarning:
-    rfid: str
-    variable: str
-    message: str
+# var_names are the program variables in declaration order; per_runner is keyed by
+# rfid, and its values are read-only and may be shared
+RaceState = namedtuple("RaceState", "roster var_names per_runner log warnings",
+                       defaults=((), ()))
 
-
-@dataclass(frozen=True)
-class LogEntry:
-    event: Event
-    fired: tuple[Statement, ...]
-    matched: bool
-
-
-@dataclass(frozen=True)
-class RaceState:
-    roster: tuple[Runner, ...]
-    var_names: tuple[str, ...]  # program variables in declaration order
-    per_runner: dict[str, RunnerVars]  # keyed by rfid; values are read-only and may be shared
-    log: tuple[LogEntry, ...] = ()
-    warnings: tuple[RaceWarning, ...] = ()
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    label: str  # group label, "" for the single ungrouped table
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    rank_var: str | None = None
+# label is the group's label, "" for the single ungrouped table
+ResultTable = namedtuple("ResultTable", "label columns rows rank_var", defaults=(None,))
 
 
 def init_race(state: StaticState, roster: list[Runner] | tuple[Runner, ...]) -> RaceState:
@@ -189,8 +168,8 @@ def replay(race: RaceState, ast: ProgramAst, events) -> RaceState:
         fired = run_statements(stmts, per_runner, event, warnings)
         log.append(LogEntry(event, fired or (), matched=fired is not None))
 
-    return replace(race, per_runner=per_runner, log=race.log + tuple(log),
-                   warnings=race.warnings + tuple(warnings))
+    return race._replace(per_runner=per_runner, log=race.log + tuple(log),
+                         warnings=race.warnings + tuple(warnings))
 
 
 def check_rank_var(var_names: tuple[str, ...], rank_var: str | None) -> None:

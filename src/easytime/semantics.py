@@ -9,7 +9,7 @@ per-runner values appear only at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .diagnostics import ERROR, WARNING, Diagnostic, sort_diagnostics
 from .frontend import ProgramAst, VarDecl
@@ -19,13 +19,11 @@ ARMS = "arms"
 UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class CategoryMap:
+# kind is CONSTANT, ARMS or UNDEFINED
+class CategoryMap(namedtuple("CategoryMap", "kind value arms", defaults=(None, None))):
     """Total function from category to integer-or-undefined."""
 
-    kind: str  # CONSTANT, ARMS or UNDEFINED
-    value: int | None = None
-    arms: dict[int, int] | None = None
+    __slots__ = ()
 
     @classmethod
     def constant(cls, value: int) -> "CategoryMap":
@@ -47,18 +45,16 @@ class CategoryMap:
         return None
 
 
-@dataclass(frozen=True)
-class VarMeta:
-    name: str
-    values: CategoryMap
-    is_dynamic: bool
+VarMeta = namedtuple("VarMeta", "name values is_dynamic")
 
 
-@dataclass(frozen=True)
-class StaticState:
+class StaticState(namedtuple("StaticState", "env")):
     """Finite map from variable name to metadata; insertion order preserved."""
 
-    env: dict[str, VarMeta] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, env: dict[str, VarMeta] | None = None):
+        return super().__new__(cls, {} if env is None else env)
 
     @classmethod
     def empty(cls) -> "StaticState":

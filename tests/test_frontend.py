@@ -6,6 +6,7 @@ import re
 import pytest
 
 from conftest import program_source, random_program
+from easytime.diagnostics import ERROR, Diagnostic
 from easytime.frontend import (
     AgentDecl,
     LexError,
@@ -22,14 +23,19 @@ from easytime.frontend import (
     tokenize,
 )
 from easytime.langdef import (
+    ADD,
     TRIVIA,
     LanguageDef,
+    LanguageFragment,
     LexRule,
+    Modifier,
     RuleGroup,
     easytime_base,
     easytime_pp,
     prod,
 )
+from easytime.runtime import Event, LogEntry, RaceState, RaceWarning, ResultTable, Runner
+from easytime.semantics import CategoryMap, StaticState, VarMeta
 
 
 def parse_error(source: str, lang) -> tuple:
@@ -119,6 +125,22 @@ def test_token_is_an_immutable_named_tuple():
     assert (token.kind, token.text, token.line, token.column) == ("Keyword", "var", 1, 1)
     with pytest.raises(AttributeError):
         token.text = "dec"
+    # every other record is a named tuple too: no field can be assigned, and nothing added
+    rule = LexRule("Int", "[0-9]+", 30)
+    records = [
+        rule, prod("A", "b", "k"), RuleGroup("G", ()), Modifier(ADD, "G"),
+        LanguageDef("L", (rule,), {}, "A"), LanguageFragment("F"),
+        AgentDecl(1, "manual", "a.dat"), VarDecl("X", "plain", value=1), Predicate("true"),
+        Statement(Predicate("true"), "upd", "X"), MeasuringPlace(1, 1, ()),
+        ProgramAst((), (), ()), CategoryMap.constant(1), VarMeta("X", CategoryMap.undefined(), True),
+        StaticState.empty(), Diagnostic(ERROR, "Code", "message"),
+        Runner(1, "A", "L", "F", "male", 1), Event(1, "A", 10), RaceWarning("A", "X", "message"),
+        LogEntry(Event(1, "A", 10), (), True), RaceState((), (), {}), ResultTable("", (), ()),
+    ]
+    for record in records:
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 @pytest.mark.parametrize("lang", [easytime_base(), easytime_pp()], ids=lambda lang: lang.name)
@@ -359,3 +381,20 @@ def test_positions_survive_but_do_not_affect_equality():
     shifted = parse_source("\n\nvar X := 1;\nvar Y := 2;", easytime_pp())
     assert shifted == ast
     assert shifted.decls[1].line != ast.decls[1].line
+
+
+@pytest.mark.parametrize("node", [
+    AgentDecl(1, "manual", "a.dat"),
+    VarDecl("X", "categorized", arms=((1, 5),)),
+    Statement(Predicate("equals", var="X", value=0), "dec", "X"),
+    MeasuringPlace(1, 2, (Statement(Predicate("true"), "upd", "X"),)),
+], ids=lambda node: type(node).__name__)
+def test_positioned_nodes_compare_without_positions_and_only_with_their_own_type(node):
+    moved = node._replace(line=7, column=3)
+    assert moved == node and not moved != node
+    assert hash(moved) == hash(node)
+    assert node._replace(**{node._fields[0]: 9}) != node
+    # a type with the same fields, and a plain tuple of them, are other values
+    twin = type("Twin", (type(node),), {"__slots__": ()})(*node)
+    assert twin != node and node != twin and not node == twin
+    assert node != tuple(node) and tuple(node) != node and not tuple(node) == node

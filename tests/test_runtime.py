@@ -5,8 +5,9 @@ import random
 import pytest
 
 from conftest import program_source, random_program
-from easytime.frontend import Predicate, VarDecl, parse_source
-from easytime.langdef import easytime_base, easytime_pp
+from easytime.diagnostics import WARNING, Diagnostic
+from easytime.frontend import Predicate, Statement, VarDecl, parse_source
+from easytime.langdef import LexRule, easytime_base, easytime_pp
 from easytime.runtime import (
     GROUPINGS,
     RUNNER_COLUMNS,
@@ -118,6 +119,16 @@ def test_runner_and_event_are_immutable_named_tuples():
         ANA.category = 2
     with pytest.raises(AttributeError):
         event.payload = 3
+
+
+def test_record_reprs_name_every_field_positions_included():
+    assert repr(Statement(Predicate("equals", var="LAP", value=2), "dec", "LAP", line=4, column=3)) == (
+        "Statement(pred=Predicate(kind='equals', var='LAP', value=2), instr='dec', target='LAP',"
+        " line=4, column=3)")
+    assert repr(Diagnostic(WARNING, "UnusedVariable", "variable X is never used", 2, 1)) == (
+        "Diagnostic(severity='warning', code='UnusedVariable',"
+        " message='variable X is never used', line=2, column=1)")
+    assert repr(LexRule("Int", "[0-9]+", 30)) == "LexRule(name='Int', pattern='[0-9]+', priority=30)"
 
 
 def test_init_race_rejects_duplicate_rfid():
