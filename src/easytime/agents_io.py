@@ -2,10 +2,11 @@
 
 Manual agents and replay logs are files of event lines; automatic agents
 push the same lines over TCP.  One line is ``mp,rfid,timestamp_ms[,payload]``.
-Rosters and results are CSV.  The TCP listener lives in ``listener``, which
-``listen_auto`` imports when it is called, so only ``serve`` loads the socket
-and thread modules.  It may serve many connections on one thread and hands
-events to its sink one at a time, in arrival order.
+``read_journal`` reads a file of them as ``read_event_log`` does, less a torn
+last line.  Rosters and results are CSV.  The TCP listener lives in
+``listener``, which ``listen_auto`` imports when it is called, so only
+``serve`` loads the socket and thread modules.  It may serve many connections
+on one thread and hands events to its sink one at a time, in arrival order.
 """
 
 from __future__ import annotations
@@ -110,16 +111,9 @@ def format_event(event: Event) -> str:
     return line
 
 
-def read_event_log(path: str | os.PathLike, size: int = -1) -> list[Event]:
-    """Events from a file, or from its first ``size`` bytes (all of it if ``size`` is -1),
-    sorted by timestamp with stable ties.
-
-    Blank lines and lines starting with ``#`` are skipped.
-    """
+def _parse_events(data: bytes) -> list[Event]:
+    """The events of ``data``'s lines, split as in text mode, sorted by timestamp."""
     events: list[Event] = []
-    with open(path, "rb") as handle:
-        data = handle.read(size)
-    # newline=None splits lines as a file opened in text mode would
     for lineno, line in enumerate(io.StringIO(data.decode("ascii"), newline=None), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -130,6 +124,22 @@ def read_event_log(path: str | os.PathLike, size: int = -1) -> list[Event]:
             raise MalformedEventError(exc.reason, line=lineno) from None
     events.sort(key=lambda e: e.timestamp_ms)  # sort() is stable
     return events
+
+
+def read_event_log(path: str | os.PathLike) -> list[Event]:
+    """Events from a file, sorted by timestamp with stable ties; blank lines and lines
+    starting with ``#`` are skipped."""
+    with open(path, "rb") as handle:
+        return _parse_events(handle.read())
+
+
+def read_journal(path: str | os.PathLike) -> tuple[list[Event], bytes]:
+    """``read_event_log`` of a journal up to its last newline, and the torn bytes after it,
+    which a crash in the middle of a write leaves and which were never acknowledged."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    kept = data.rfind(b"\n") + 1
+    return _parse_events(data[:kept]), data[kept:]
 
 
 def write_event_log(events, path: str | os.PathLike) -> None:
@@ -148,7 +158,7 @@ def listen_auto(port: int, sink):
 
 def write_results(tables: list[ResultTable], out_dir: str | os.PathLike) -> list:
     """One CSV per table under ``out_dir``, and their ``Path``s; undefined values
-    become empty cells."""
+    become empty cells.  Each file is replaced whole, so a reader never sees part of one."""
     from pathlib import Path
 
     out = Path(out_dir)
@@ -157,9 +167,15 @@ def write_results(tables: list[ResultTable], out_dir: str | os.PathLike) -> list
     for table in tables:
         name = f"results_{table.label}.csv" if table.label else "results.csv"
         path = out / name
-        with open(path, "w", newline="", encoding="ascii") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(table.columns)
-            writer.writerows(table.rows)  # csv writes None as an empty cell
+        part = out / f".{name}.{os.getpid()}.part"  # two processes may share out_dir
+        try:
+            with open(part, "w", newline="", encoding="ascii") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(table.columns)
+                writer.writerows(table.rows)  # csv writes None as an empty cell
+            os.replace(part, path)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
         written.append(path)
     return written

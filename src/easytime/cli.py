@@ -1,5 +1,8 @@
 """Command-line surface: check, run, serve, results.
 
+``run``, ``results`` and ``serve`` replay through ``_start``; ``run`` journals what it
+read.  A journal's torn last line is warned of and left out; ``serve`` also cuts it off.
+
 Exit codes: 0 success, 1 language error (lex/parse/semantic, an unknown
 ``--rank`` variable, events aimed at unknown measuring places), 2 I/O or
 data-file error.  A failing step raises ``_Failure`` with its exit code and
@@ -15,7 +18,6 @@ import contextlib
 import os
 import signal
 import sys
-from pathlib import Path
 
 from .agents_io import (
     MalformedEventError,
@@ -23,6 +25,7 @@ from .agents_io import (
     listen_auto,
     load_runners,
     read_event_log,
+    read_journal,
     write_event_log,
     write_results,
     format_event,
@@ -102,11 +105,11 @@ def cmd_check(args) -> None:
     _compile(args.program, args.dialect)
 
 
-def _out_dir(args) -> Path:
-    return Path(args.out or os.environ.get("EASYTIME_OUT", "."))
+def _out_dir(args) -> str:
+    return args.out or os.environ.get("EASYTIME_OUT") or os.curdir
 
 
-def _export_results(race, args, out_dir: Path) -> None:
+def _export_results(race, args, out_dir: str) -> None:
     tables = race_results(race, rank_var=args.rank, group_by=args.group)
     try:
         write_results(tables, out_dir)
@@ -116,7 +119,7 @@ def _export_results(race, args, out_dir: Path) -> None:
 
 def _start(args, event_paths, read_events=read_event_log):
     """Compile, load the roster, check ``--rank``, replay the events of ``read_events(path)``
-    for each path, by timestamp."""
+    for each path, by timestamp; returns the program, the race and the events replayed."""
     ast, state = _compile(args.program, args.dialect)
     race = _read(args.runners, lambda path: init_race(state, load_runners(path)), "roster")
     try:
@@ -132,84 +135,58 @@ def _start(args, event_paths, read_events=read_event_log):
     for warning in race.warnings:
         print(f"warning: {warning.message}", file=sys.stderr)
     try:
-        return ast, replay(race, ast, events)
+        return ast, replay(race, ast, events), events
     except UnknownMeasuringPlaceError as exc:
         raise _Failure(EXIT_LANG, str(exc))
 
 
 def cmd_run(args) -> None:
-    _, race = _start(args, args.events)
+    _, race, events = _start(args, args.events)
     out_dir = _out_dir(args)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_event_log((entry.event for entry in race.log), out_dir / JOURNAL_NAME)
+        os.makedirs(out_dir, exist_ok=True)
+        write_event_log(events, os.path.join(out_dir, JOURNAL_NAME))
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot write journal: {exc.strerror}")
     _export_results(race, args, out_dir)
 
 
-def _torn_tail(path) -> tuple[int, bytes]:
-    """The length of ``path`` up to its last newline, and the bytes after it, read from the end.
-
-    A crash in the middle of a write leaves a last line that was never acked;
-    replayed, it would be a made-up event.
-    """
-    with open(path, "rb") as journal:
-        end = journal.seek(0, os.SEEK_END)
-        torn = b""
-        while len(torn) < end:
-            step = min(end - len(torn), 4096)
-            journal.seek(end - len(torn) - step)
-            chunk = journal.read(step)
-            newline = chunk.rfind(b"\n")
-            torn = chunk[newline + 1:] + torn
-            if newline >= 0:
-                break
-    return end - len(torn), torn
-
-
-def _warn_torn(path, torn: bytes) -> None:
+def _journal_events(path) -> tuple[list, bytes]:
+    """``read_journal(path)``, warning of the torn last line it left out."""
+    events, torn = read_journal(path)
     if torn:
         print(f"warning: {path}: dropped {len(torn)} bytes of a torn last line:"
               f" {torn.decode('latin-1')!r}", file=sys.stderr)
-
-
-def _read_journal(path) -> list:
-    """A journal's events without its torn last line, which is warned of; the file is left as it is."""
-    kept, torn = _torn_tail(path)
-    _warn_torn(path, torn)
-    return read_event_log(path, kept)
+    return events, torn
 
 
 def cmd_results(args) -> None:
-    _, race = _start(args, [args.journal], _read_journal)
+    _, race, _ = _start(args, [args.journal], lambda path: _journal_events(path)[0])
     _export_results(race, args, _out_dir(args))
 
 
-def _cut_torn_tail(path: Path) -> None:
-    """Cut ``path`` back to its last newline, so the next append starts a line of its own,
-    and warn of the cut."""
-    try:
-        kept, torn = _torn_tail(path)
-        if torn:
-            os.truncate(path, kept)
-    except OSError as exc:
-        raise _Failure(EXIT_IO, f"cannot repair journal: {exc.strerror}")
-    _warn_torn(path, torn)
+def _resume_journal(path) -> list:
+    """The events of the journal a previous ``serve`` left at ``path``, which is cut back
+    to its last newline, so the next append starts a line of its own."""
+    events, torn = _journal_events(path)
+    if torn:
+        try:
+            os.truncate(path, os.path.getsize(path) - len(torn))
+        except OSError as exc:
+            raise _Failure(EXIT_IO, f"cannot repair journal: {exc.strerror}")
+    return events
 
 
 def cmd_serve(args) -> None:
     import threading  # loaded for serve alone, like the listener
 
     out_dir = _out_dir(args)
-    journal_path = out_dir / JOURNAL_NAME
+    journal_path = os.path.join(out_dir, JOURNAL_NAME)
     # a restart resumes the journal a previous serve left behind
-    resume = journal_path.exists()
-    if resume:
-        _cut_torn_tail(journal_path)
-    ast, race = _start(args, [journal_path] if resume else [])
+    resumed = [journal_path] if os.path.exists(journal_path) else []
+    ast, race, _ = _start(args, resumed, _resume_journal)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
         journal = open(journal_path, "a", encoding="ascii")
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot open journal: {exc.strerror}")
@@ -222,9 +199,8 @@ def cmd_serve(args) -> None:
     def sink(event):
         nonlocal applied
         stmts = stmts_at.get(event.mp_id)
-        if stmts is None:
-            print(f"skipping event for unknown mp[{event.mp_id}]", file=sys.stderr)
-            return
+        if stmts is None:  # refused as run refuses it; the listener replies ERR
+            raise MalformedEventError(f"no measuring place {event.mp_id}")
         journal.write(format_event(event) + "\n")
         journal.flush()
         # only once journaled, so live state never runs ahead of the journal; serve owns the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import logging
 import selectors
 import socket
@@ -18,8 +19,10 @@ class AutoAgentListener:
     One thread runs a selector loop over all connections and calls the sink
     in arrival order.  A line is answered ``OK`` after the sink returns, or
     ``ERR <reason>`` if it is malformed or the sink raises; the connection
-    stays open.  A client whose unterminated line exceeds ``MAX_LINE_BYTES``,
-    or who leaves replies unread until the kernel takes no more, is cut off.
+    stays open.  A sink refuses an event by raising ``MalformedEventError``;
+    other exceptions are logged too.  A client whose unterminated line exceeds
+    ``MAX_LINE_BYTES``, or who leaves replies unread until the kernel takes no
+    more, is cut off.  Out of descriptors, new clients wait until one closes.
     """
 
     def __init__(self, port: int, sink):
@@ -56,13 +59,17 @@ class AutoAgentListener:
         finally:
             for key in self._selector.get_map().values():
                 key.fileobj.close()
+            self._server.close()  # not in the map while descriptors ran out
             self._selector.close()
             self._wake_w.close()
 
     def _accept(self) -> None:
         try:
             conn, addr = self._server.accept()
-        except OSError:  # the client gave up before we got to it
+        except OSError as exc:  # descriptors ran out, or the client gave up before we got to it
+            if exc.errno in (errno.EMFILE, errno.ENFILE):
+                # the server stays readable, so watching it would spin the loop
+                self._selector.unregister(self._server)
             return
         logger.debug("connection from %s", addr)
         conn.setblocking(False)
@@ -85,14 +92,14 @@ class AutoAgentListener:
         if not chunk or sent < len(out) or len(buffer) > MAX_LINE_BYTES:
             self._selector.unregister(conn)
             conn.close()
+            if self._server not in self._selector.get_map():  # a descriptor is free again
+                self._selector.register(self._server, selectors.EVENT_READ)
 
     def _handle(self, raw: bytearray) -> str:
         try:
-            event = parse_event_line(raw.decode("ascii", errors="replace"))
-        except MalformedEventError as exc:
+            self._sink(parse_event_line(raw.decode("ascii", errors="replace")))
+        except MalformedEventError as exc:  # a line that does not parse, or a refused event
             return f"ERR {exc.reason}\n"
-        try:
-            self._sink(event)
         except Exception as exc:
             logger.exception("event sink failed")
             return f"ERR {' '.join(str(exc).split())}\n"

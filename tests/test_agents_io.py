@@ -17,6 +17,7 @@ from easytime.agents_io import (
     load_runners,
     parse_event_line,
     read_event_log,
+    read_journal,
     write_event_log,
     write_results,
 )
@@ -152,18 +153,25 @@ def test_read_event_log_reports_line_number(tmp_path):
     assert err.value.line == 3
 
 
-def test_read_event_log_splits_lines_as_text_mode_and_reads_a_prefix(tmp_path):
+def test_read_event_log_and_read_journal_split_lines_as_text_mode(tmp_path):
     path = tmp_path / "events.log"
     data = b"1,A,5000\r\n1,B,3000\r2,A,6000\nbroken"
+    events = [Event(1, "B", 3000), Event(1, "A", 5000), Event(2, "A", 6000)]
     path.write_bytes(data)
-    assert read_event_log(path, data.rindex(b"\n") + 1) == [
-        Event(1, "B", 3000), Event(1, "A", 5000), Event(2, "A", 6000)]
+    assert read_journal(path) == (events, b"broken")
     with pytest.raises(MalformedEventError) as err:
         read_event_log(path)
     assert err.value.line == 4
+    path.write_bytes(data[:data.rindex(b"\n") + 1])
+    assert read_event_log(path) == events
+    assert read_journal(path) == (events, b"")
     path.write_bytes(b"1,A,5000\n\xc3\xa9\n")
     with pytest.raises(UnicodeDecodeError):
         read_event_log(path)
+    with pytest.raises(UnicodeDecodeError):
+        read_journal(path)
+    path.write_bytes(b"1,A,5000\n\xc3\xa9")  # a torn tail is left out undecoded
+    assert read_journal(path) == ([Event(1, "A", 5000)], b"\xc3\xa9")
 
 
 def test_write_event_log_round_trip(tmp_path):
@@ -355,6 +363,20 @@ def test_write_results_single_table(tmp_path):
     assert lines[0] == "rank,id,last_name,first_name,gender,category,RUN"
     assert lines[1] == "1,1,Novak,Ana,female,1,5000"
     assert lines[2] == ",2,Kovac,Maja,female,2,"  # undefined cells stay empty
+
+
+def test_write_results_keeps_the_old_table_when_a_write_fails(tmp_path):
+    write_results([sample_table("")], tmp_path)
+    before = (tmp_path / "results.csv").read_bytes()
+
+    def rows_until_the_disk_fills():
+        yield sample_table("").rows[0]
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        write_results([sample_table("")._replace(rows=rows_until_the_disk_fills())], tmp_path)
+    assert (tmp_path / "results.csv").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
 
 def test_write_results_one_file_per_group(tmp_path):

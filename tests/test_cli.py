@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import os
 import socket
 import subprocess
 import sys
@@ -10,11 +11,11 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, program_source
-from easytime.agents_io import load_runners, parse_event_line, write_results
-from easytime.cli import _cut_torn_tail, build_parser, main
+from easytime.agents_io import load_runners, parse_event_line, read_journal, write_results
+from easytime.cli import _resume_journal, build_parser, main
 from easytime.frontend import parse_source
 from easytime.langdef import easytime_pp
-from easytime.runtime import init_race, race_results, replay
+from easytime.runtime import Event, init_race, race_results, replay
 from easytime.semantics import analyze
 
 PROGRAMS = FIXTURES / "programs"
@@ -303,13 +304,14 @@ def start_serve(tmp_path):
     """
     started: list[subprocess.Popen] = []
 
-    def start(*extra: str) -> tuple[subprocess.Popen, int]:
+    def start(*extra: str, **popen) -> tuple[subprocess.Popen, int]:
         proc = subprocess.Popen(
             serve_command(tmp_path / "served", "--port", "0", "--rank", "RUN", *extra),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
             cwd=SRC,
+            **popen,
         )
         started.append(proc)
         banner = proc.stdout.readline()
@@ -428,13 +430,17 @@ def test_serve_restart_and_results_agree_on_a_torn_journal(tmp_path, start_serve
 
 @pytest.mark.parametrize("kept, torn", [
     (b"", b""), (b"1,A,1\n", b""), (b"", b"1,A"), (b"1,A,1\n\n", b"2"),
-    # tails longer than one block read back from the end
-    (b"x" * 5000 + b"\n", b"y" * 5000), (b"1,A,1\n", b"z" * 9000),
+    # journals and tails longer than 4096 bytes
+    pytest.param(b"1,A,1\n" * 1000, b"y" * 5000, id="long-journal-long-tail"),
+    (b"1,A,1\n", b"z" * 9000),
 ])
 def test_cut_torn_tail_keeps_the_journal_up_to_its_last_newline(tmp_path, capsys, kept, torn):
     journal = tmp_path / "journal.log"
     journal.write_bytes(kept + torn)
-    _cut_torn_tail(journal)
+    events = [Event(1, "A", 1)] * kept.count(b"1,A,1")
+    assert read_journal(journal) == (events, torn)
+    assert journal.read_bytes() == kept + torn  # reading leaves the file as it is
+    assert _resume_journal(journal) == events  # serve's restart cuts the tail off
     assert journal.read_bytes() == kept
     err = capsys.readouterr().err
     assert err == (f"warning: {journal}: dropped {len(torn)} bytes of a torn last line:"
@@ -488,12 +494,69 @@ def test_serve_journal_rerun_is_byte_identical(tmp_path, start_serve):
 def test_serve_skips_unknown_mp_and_keeps_going(tmp_path, start_serve):
     proc, port = start_serve("--stop-after", "2")
     replies = push_lines(port, ["9,BI001,100", "1,BI001,5000,2", "3,BI001,20000"])
-    assert replies == ["OK"] * 3  # protocol accepts the line; the race skips it
+    # refused as run refuses it: neither journaled nor applied
+    assert replies == ["ERR no measuring place 9", "OK", "OK"]
     _, err = proc.communicate(timeout=10)
     assert proc.returncode == 0
+    assert err == ""  # a refusal logs no traceback
+    served = tmp_path / "served"
+    assert (served / "journal.log").read_text().splitlines() == ["1,BI001,5000,2", "3,BI001,20000"]
+
+    rerun = tmp_path / "rerun"
+    assert run_cli(
+        "results", PROGRAMS / "biathlon.ez",
+        "--runners", ROSTERS / "biathlon.csv",
+        "--journal", served / "journal.log", "--rank", "RUN", "--out", rerun,
+    ) == 0
+    assert (rerun / "results.csv").read_bytes() == (served / "results.csv").read_bytes()
+
+
+def test_serve_journals_every_line_it_acks(tmp_path, start_serve):
+    lines = ["bad", "1,BI001,5000,2", "9,BI001,6000", "1,GHOST,7000", "3,BI002,-1",
+             "3,BI001,20000"]
+    proc, port = start_serve("--stop-after", "3")
+    replies = push_lines(port, lines)
+    proc.communicate(timeout=10)
+    assert proc.returncode == 0
+    assert replies == ["ERR missing rfid", "OK", "ERR no measuring place 9", "OK",
+                       "ERR timestamp must be >= 0, got -1", "OK"]
     journal = (tmp_path / "served" / "journal.log").read_text().splitlines()
-    assert journal == ["1,BI001,5000,2", "3,BI001,20000"]
-    assert "unknown mp[9]" in err
+    assert journal == [line for line, reply in zip(lines, replies) if reply == "OK"]
+
+
+def cpu_seconds(pid: int) -> float:
+    """User plus system CPU time that process ``pid`` has used so far."""
+    with open(f"/proc/{pid}/stat") as stat:
+        fields = stat.read().rsplit(")", 1)[1].split()  # the name in parentheses may hold spaces
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads CPU time from /proc")
+def test_serve_out_of_descriptors_waits_for_a_free_one_without_spinning(tmp_path, start_serve):
+    import resource
+
+    def limit_descriptors():  # runs in the child only: room for about a dozen connections
+        resource.setrlimit(resource.RLIMIT_NOFILE, (24, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+
+    proc, port = start_serve(preexec_fn=limit_descriptors)
+    clients = [socket.create_connection(("127.0.0.1", port), timeout=5.0) for _ in range(30)]
+    try:
+        time.sleep(0.5)  # the listener accepts what it can, then runs out of descriptors
+        idle_from = cpu_seconds(proc.pid)
+        time.sleep(2.0)
+        assert cpu_seconds(proc.pid) - idle_from < 0.5
+        waiting = clients[-1]  # still in the kernel's backlog
+        waiting.sendall(b"1,BI001,1000,60\n")
+        waiting.settimeout(0.3)
+        with pytest.raises(TimeoutError):
+            waiting.recv(16)
+        for sock in clients[:-1]:
+            sock.close()
+        waiting.settimeout(5.0)
+        assert waiting.recv(16) == b"OK\n"
+    finally:
+        for sock in clients:
+            sock.close()
 
 
 def test_serve_zero_events(tmp_path, start_serve):
