@@ -220,10 +220,11 @@ def cmd_serve(args) -> None:
             listener = listen_auto(args.port, sink)
         except OSError as exc:
             raise _Failure(EXIT_IO, f"cannot bind port {args.port}: {exc.strerror}")
-        # SIGTERM acts as Ctrl-C; a handler calling done.set() can deadlock done.wait()
-        signal.signal(signal.SIGTERM, signal.default_int_handler)
-        print(f"listening on port {listener.port}", flush=True)
         with listener, contextlib.suppress(KeyboardInterrupt):
+            # SIGTERM acts as Ctrl-C; a handler calling done.set() can deadlock done.wait().
+            # Set inside the suppress, so a SIGTERM right after the banner still exports
+            signal.signal(signal.SIGTERM, signal.default_int_handler)
+            print(f"listening on port {listener.port}", flush=True)
             done.wait()
     _export_results(race, args, out_dir)
 

@@ -6,11 +6,13 @@ including whitespace and comments, so the token stream reproduces the input
 exactly.  Each call works out from the parsed patterns which rules can start
 a match with each ASCII character, and a position tries only those; a rule
 the analysis cannot bound is tried everywhere.  ``parse`` is one
-table-driven loop with single-token lookahead: each call derives a
-prediction trie per nonterminal from the definition's productions,
-alternatives sharing a prefix share a trie path until the lookahead
-separates them, and an explicit stack replaces recursion, so how deeply a
-program nests is bounded by memory and not by the recursion limit.
+table-driven loop with single-token lookahead.  Its tables come from one
+builder, ``_tries``, which runs FIRST/FOLLOW over the definition's
+productions and returns a prediction trie per nonterminal; alternatives
+sharing a prefix share a trie path until the lookahead separates them, and
+end of input is one more token kind.  An explicit stack replaces recursion,
+so how deeply a program nests is bounded by memory and not by the recursion
+limit.
 Semantic values are built bottom-up by handlers looked up per production
 action key, which is what makes an overridden rule group change the
 produced syntax tree.
@@ -201,83 +203,18 @@ def tokenize(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> list[
 
 
 # --- Prediction tables ------------------------------------------------
-# Terminal selectors are ("lit", text) for literals, ("kind", name) for
-# lexical references and ("eof",) for end of input.
+# Terminal selectors are ("lit", text) for literals and ("kind", name) for
+# lexical references and for end of input, the kind of the EOF token, so a
+# token is looked up by its text and its kind alone.
 
 def _selector(symbol: str) -> tuple:
     return ("kind", symbol[1:]) if symbol.startswith("#") else ("lit", symbol)
 
 
-class Grammar:
-    """FIRST/FOLLOW tables over a language definition's productions."""
-
-    def __init__(self, lang: LanguageDef):
-        self.lang = lang
-        self.productions: dict[str, list[Production]] = {}
-        for group in lang.rule_groups.values():
-            for production in group.productions:
-                self.productions.setdefault(production.lhs, []).append(production)
-        self.nullable: set[str] = set()
-        self.first: dict[str, set[tuple]] = {nt: set() for nt in self.productions}
-        self.follow: dict[str, set[tuple]] = {nt: set() for nt in self.productions}
-        self._close()
-
-    def _close(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for nt, prods in self.productions.items():
-                for p in prods:
-                    firsts, nullable = self.seq_first(p.rhs)
-                    if not firsts <= self.first[nt]:
-                        self.first[nt] |= firsts
-                        changed = True
-                    if nullable and nt not in self.nullable:
-                        self.nullable.add(nt)
-                        changed = True
-        start = self.lang.start_symbol
-        if start in self.follow:
-            self.follow[start].add(("eof",))
-        changed = True
-        while changed:
-            changed = False
-            for nt, prods in self.productions.items():
-                for p in prods:
-                    for i, symbol in enumerate(p.rhs):
-                        if symbol_kind(symbol) != "nonterminal" or symbol not in self.follow:
-                            continue
-                        firsts, nullable = self.seq_first(p.rhs[i + 1:])
-                        add = firsts | (self.follow[nt] if nullable else set())
-                        if not add <= self.follow[symbol]:
-                            self.follow[symbol] |= add
-                            changed = True
-
-    def seq_first(self, symbols: tuple[str, ...]) -> tuple[set[tuple], bool]:
-        """FIRST selectors of a symbol sequence and whether it derives epsilon."""
-        firsts: set[tuple] = set()
-        for symbol in symbols:
-            if symbol_kind(symbol) == "nonterminal":
-                firsts |= self.first.get(symbol, set())
-                if symbol not in self.nullable:
-                    return firsts, False
-            else:
-                firsts.add(_selector(symbol))
-                return firsts, False
-        return firsts, True
-
-    def predict_selectors(self, suffix: tuple[str, ...], lhs: str) -> set[tuple]:
-        firsts, nullable = self.seq_first(suffix)
-        if nullable:
-            firsts = firsts | self.follow.get(lhs, set())
-        return firsts
-
-
 def _describe_selector(selector: tuple) -> str:
     if selector[0] == "lit":
         return repr(selector[1])
-    if selector[0] == "kind":
-        return selector[1]
-    return "end of input"
+    return "end of input" if selector[1] == EOF_KIND else selector[1]
 
 
 class _Node:
@@ -285,32 +222,87 @@ class _Node:
 
     ``next`` maps each symbol that can follow the prefix to its child node and
     whether the symbol is a nonterminal.  ``predict`` maps a lookahead
-    selector to the next symbols it selects; end of input is keyed as the kind
-    of the EOF token, so a token is looked up by its text and its kind alone.
-    ``complete`` is the first production that ends here and ``expected``
-    describes every selector, for the error message.
+    selector to the next symbols it selects.  ``complete`` is the first
+    production that ends here and ``expected`` describes every selector, for
+    the error message.
     """
 
     __slots__ = ("next", "predict", "complete", "expected")
 
-    def __init__(self, grammar: Grammar, nt: str, prods: list[Production], depth: int = 0):
+    def __init__(self, predict_selectors, nt: str, prods: list[Production], depth: int = 0):
         self.complete = next((p for p in prods if len(p.rhs) == depth), None)
         longer = [p for p in prods if len(p.rhs) > depth]
         self.next = {
             symbol: (
-                _Node(grammar, nt, [p for p in longer if p.rhs[depth] == symbol], depth + 1),
+                _Node(predict_selectors, nt, [p for p in longer if p.rhs[depth] == symbol],
+                      depth + 1),
                 symbol_kind(symbol) == "nonterminal",
             )
             for symbol in dict.fromkeys(p.rhs[depth] for p in longer)
         }
         self.predict: dict[tuple, set[str]] = {}
-        selectors: set[tuple] = set()
         for p in longer:
-            for selector in grammar.predict_selectors(p.rhs[depth:], nt):
-                selectors.add(selector)
-                key = ("kind", EOF_KIND) if selector == ("eof",) else selector
-                self.predict.setdefault(key, set()).add(p.rhs[depth])
-        self.expected = tuple(sorted(_describe_selector(s) for s in selectors))
+            for selector in predict_selectors(p.rhs[depth:], nt):
+                self.predict.setdefault(selector, set()).add(p.rhs[depth])
+        self.expected = tuple(sorted(map(_describe_selector, self.predict)))
+
+
+def _tries(lang: LanguageDef) -> dict[str, _Node]:
+    """The prediction trie of each nonterminal, from FIRST/FOLLOW over the productions."""
+    productions: dict[str, list[Production]] = {}
+    for group in lang.rule_groups.values():
+        for production in group.productions:
+            productions.setdefault(production.lhs, []).append(production)
+    nullable: set[str] = set()
+    first: dict[str, set[tuple]] = {nt: set() for nt in productions}
+    follow: dict[str, set[tuple]] = {nt: set() for nt in productions}
+
+    def seq_first(symbols: tuple[str, ...]) -> tuple[set[tuple], bool]:
+        """FIRST selectors of a symbol sequence and whether it derives epsilon."""
+        firsts: set[tuple] = set()
+        for symbol in symbols:
+            if symbol_kind(symbol) == "nonterminal":
+                firsts |= first.get(symbol, set())
+                if symbol not in nullable:
+                    return firsts, False
+            else:
+                firsts.add(_selector(symbol))
+                return firsts, False
+        return firsts, True
+
+    changed = True
+    while changed:
+        changed = False
+        for nt, prods in productions.items():
+            for p in prods:
+                firsts, empty = seq_first(p.rhs)
+                if not firsts <= first[nt]:
+                    first[nt] |= firsts
+                    changed = True
+                if empty and nt not in nullable:
+                    nullable.add(nt)
+                    changed = True
+    if lang.start_symbol in follow:
+        follow[lang.start_symbol].add(("kind", EOF_KIND))
+    changed = True
+    while changed:
+        changed = False
+        for nt, prods in productions.items():
+            for p in prods:
+                for i, symbol in enumerate(p.rhs):
+                    if symbol_kind(symbol) != "nonterminal" or symbol not in follow:
+                        continue
+                    firsts, empty = seq_first(p.rhs[i + 1:])
+                    add = firsts | (follow[nt] if empty else set())
+                    if not add <= follow[symbol]:
+                        follow[symbol] |= add
+                        changed = True
+
+    def predict_selectors(suffix: tuple[str, ...], lhs: str) -> set[tuple]:
+        firsts, empty = seq_first(suffix)
+        return firsts | follow.get(lhs, set()) if empty else firsts
+
+    return {nt: _Node(predict_selectors, nt, prods) for nt, prods in productions.items()}
 
 
 # --- Parser -----------------------------------------------------------
@@ -326,12 +318,11 @@ def parse(tokens: list[Token], lang: LanguageDef) -> ProgramAst:
 
     One loop over an explicit stack with a frame per open nonterminal, so
     nesting is bounded by memory and not by the recursion limit.  Each frame
-    walks its nonterminal's prediction trie, which is built per call from the
-    definition: a token either selects the one next symbol, or ends the
-    frame's production, or is an error.
+    walks its nonterminal's prediction trie, which ``_tries`` builds per call
+    from the definition: a token either selects the one next symbol, or ends
+    the frame's production, or is an error.
     """
-    grammar = Grammar(lang)
-    tries = {nt: _Node(grammar, nt, prods) for nt, prods in grammar.productions.items()}
+    tries = _tries(lang)
     significant = [t for t in tokens if t.kind not in TRIVIA]
     last = significant[-1] if significant else Token(EOF_KIND, "", 1, 1)
     significant.append(Token(EOF_KIND, "", last.line, last.column + len(last.text)))

@@ -90,66 +90,46 @@ def compose_language(
 ) -> LanguageDef:
     """Apply a fragment's modifiers to the union of the bases.
 
-    Later bases shadow earlier ones when resolving modifier targets.  A name
+    Lexicon rules and rule groups are two namespaces of one algebra.  Later
+    bases shadow earlier ones when resolving modifier targets.  A name
     defined differently by two bases must be overridden by the fragment,
-    otherwise the conflict is an error.  `extends` on a lexicon rule appends
-    the new pattern as an alternation branch; on a rule group it appends
-    productions.  `overrides` replaces the target wholesale and `add` inserts
-    a new one.
+    otherwise the conflict is an error.  `add` inserts a new item and
+    `overrides` replaces the target wholesale; both name the result after the
+    target.  `extends` keeps the target and appends to it: a lexicon rule's
+    pattern gains an alternation branch, a rule group gains productions.
     """
     if not bases:
         raise ValueError("compose_language requires at least one base")
 
     lexicon: dict[str, LexRule] = {}
     groups: dict[str, RuleGroup] = {}
+    namespaces = (
+        ("lexicon rule", lexicon, [rule for base in bases for rule in base.lexicon],
+         fragment.lexicon_mods,
+         lambda old, new: old._replace(pattern=f"(?:{old.pattern})|(?:{new.pattern})")),
+        ("rule group", groups, [group for base in bases for group in base.rule_groups.values()],
+         fragment.rule_mods,
+         lambda old, new: old._replace(productions=old.productions + new.productions)),
+    )
     conflicts: set[str] = set()
-    for base in bases:
-        for rule in base.lexicon:
-            if rule.name in lexicon and lexicon[rule.name] != rule:
-                conflicts.add(f"lexicon rule {rule.name}")
-            lexicon[rule.name] = rule
-        for group in base.rule_groups.values():
-            if group.name in groups and groups[group.name] != group:
-                conflicts.add(f"rule group {group.name}")
-            groups[group.name] = group
-
-    for modifier, rule in fragment.lexicon_mods:
-        name = modifier.target
-        if modifier.kind == ADD:
-            if name in lexicon:
-                raise DuplicateTargetError(f"lexicon rule {name} already defined")
-            lexicon[name] = rule
-        elif modifier.kind == EXTENDS:
-            if name not in lexicon:
-                raise UnknownTargetError(f"no lexicon rule {name} in any base")
-            old = lexicon[name]
-            lexicon[name] = old._replace(pattern=f"(?:{old.pattern})|(?:{rule.pattern})")
-        elif modifier.kind == OVERRIDES:
-            if name not in lexicon:
-                raise UnknownTargetError(f"no lexicon rule {name} in any base")
-            lexicon[name] = rule._replace(name=name)
-            conflicts.discard(f"lexicon rule {name}")
-        else:
-            raise ComposeError(f"unknown modifier kind {modifier.kind!r}")
-
-    for modifier, group in fragment.rule_mods:
-        name = modifier.target
-        if modifier.kind == ADD:
-            if name in groups:
-                raise DuplicateTargetError(f"rule group {name} already defined")
-            groups[name] = group
-        elif modifier.kind == EXTENDS:
-            if name not in groups:
-                raise UnknownTargetError(f"no rule group {name} in any base")
-            old = groups[name]
-            groups[name] = RuleGroup(name, old.productions + group.productions)
-        elif modifier.kind == OVERRIDES:
-            if name not in groups:
-                raise UnknownTargetError(f"no rule group {name} in any base")
-            groups[name] = RuleGroup(name, group.productions)
-            conflicts.discard(f"rule group {name}")
-        else:
-            raise ComposeError(f"unknown modifier kind {modifier.kind!r}")
+    for label, table, items, mods, extend in namespaces:
+        for item in items:
+            if item.name in table and table[item.name] != item:
+                conflicts.add(f"{label} {item.name}")
+            table[item.name] = item
+        for modifier, payload in mods:
+            kind, name = modifier.kind, modifier.target
+            if kind not in (ADD, EXTENDS, OVERRIDES):
+                raise ComposeError(f"unknown modifier kind {kind!r}")
+            if kind == ADD and name in table:
+                raise DuplicateTargetError(f"{label} {name} already defined")
+            if kind != ADD and name not in table:
+                raise UnknownTargetError(f"no {label} {name} in any base")
+            if kind == EXTENDS:
+                table[name] = extend(table[name], payload)
+            else:
+                table[name] = payload._replace(name=name)
+                conflicts.discard(f"{label} {name}")  # only an override can meet one
 
     if conflicts:
         raise ConflictingBasesError(

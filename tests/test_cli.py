@@ -571,6 +571,35 @@ def test_serve_zero_events(tmp_path, start_serve):
     assert len(rows) == 3  # header + both runners at initial values
 
 
+# a child that sends itself SIGTERM the moment it has printed the banner
+SIGTERM_AFTER_BANNER = """
+import builtins, os, signal, sys
+from easytime.cli import main
+
+real_print = builtins.print
+
+def print_then_terminate(*args, **kwargs):
+    real_print(*args, **kwargs)
+    if args and str(args[0]).startswith("listening on port "):
+        os.kill(os.getpid(), signal.SIGTERM)
+
+builtins.print = print_then_terminate
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_serve_sigterm_right_after_the_banner_still_exports(tmp_path):
+    command = serve_command(tmp_path / "served", "--port", "0", "--rank", "RUN")
+    child = subprocess.run(
+        [sys.executable, "-c", SIGTERM_AFTER_BANNER, *command[3:]],
+        capture_output=True, text=True, cwd=SRC, timeout=30,
+    )
+    assert child.returncode == 0, child.stderr
+    assert "Traceback" not in child.stderr
+    assert child.stdout.startswith("listening on port ")
+    assert len((tmp_path / "served" / "results.csv").read_text().splitlines()) == 3
+
+
 def test_serve_port_in_use(tmp_path, start_serve):
     proc, port = start_serve()
     second = subprocess.run(

@@ -9,6 +9,7 @@ from easytime.langdef import (
     ADD,
     EXTENDS,
     OVERRIDES,
+    ComposeError,
     ConflictingBasesError,
     DuplicateTargetError,
     LanguageDef,
@@ -233,3 +234,129 @@ def test_validate_reports_unmatchable_literal():
     )
     assert any(d.code == "UnmatchableLiteral" for d in validate_language(lang))
 
+
+
+# --- the modifier algebra, pinned for both namespaces -------------------
+# Each namespace: how a fragment carries its mods, a payload named ``name``,
+# how to read a composed language's table, and a name easytime_base() defines.
+NAMESPACES = {
+    "lexicon rule": (
+        lambda *mods: LanguageFragment("t", lexicon_mods=mods),
+        lambda name: LexRule(name, "x", 1),
+        lambda lang: {rule.name: rule for rule in lang.lexicon},
+        "Keyword",
+    ),
+    "rule group": (
+        lambda *mods: LanguageFragment("t", rule_mods=mods),
+        lambda name: RuleGroup(name, ()),
+        lambda lang: lang.rule_groups,
+        "Dec",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(NAMESPACES))
+@pytest.mark.parametrize("kind, existing, error, message", [
+    (ADD, True, DuplicateTargetError, "{label} {target} already defined"),
+    (EXTENDS, False, UnknownTargetError, "no {label} {target} in any base"),
+    (OVERRIDES, False, UnknownTargetError, "no {label} {target} in any base"),
+    ("replaces", True, ComposeError, "unknown modifier kind 'replaces'"),
+])
+def test_compose_error_message(label, kind, existing, error, message):
+    fragment, payload, _, defined = NAMESPACES[label]
+    target = defined if existing else "Missing"
+    with pytest.raises(ComposeError) as raised:
+        compose_language([easytime_base()], fragment((Modifier(kind, target), payload(target))))
+    assert type(raised.value) is error
+    assert str(raised.value) == message.format(label=label, target=target)
+
+
+def _disagreeing_bases() -> list[LanguageDef]:
+    # names listed out of order, so the message's sorted listing shows
+    return [
+        LanguageDef(
+            "A",
+            (LexRule("Word", "[a-z]+", 20), LexRule("Int", "[0-9]+", 10)),
+            {"Dec": RuleGroup("Dec", (prod("DEC", "#Int", "dec_a"),))},
+            "DEC",
+        ),
+        LanguageDef(
+            "B",
+            (LexRule("Word", "[a-z]", 20), LexRule("Int", "[0-9]", 10)),
+            {"Dec": RuleGroup("Dec", (prod("DEC", "#Int", "dec_b"),))},
+            "DEC",
+        ),
+    ]
+
+
+def test_disagreeing_bases_are_listed_sorted():
+    with pytest.raises(ConflictingBasesError) as raised:
+        compose_language(_disagreeing_bases(), LanguageFragment("t"))
+    assert str(raised.value) == (
+        "bases disagree and the fragment does not override:"
+        " lexicon rule Int, lexicon rule Word, rule group Dec"
+    )
+
+
+def test_a_lexicon_rule_conflict_is_resolved_by_override_alone():
+    bases = _disagreeing_bases()
+    fragment = LanguageFragment("t", lexicon_mods=(
+        (Modifier(OVERRIDES, "Int"), LexRule("Other", "[0-9]+", 5)),
+        (Modifier(OVERRIDES, "Word"), LexRule("Word", "[a-z]+", 20)),
+    ))
+    with pytest.raises(ConflictingBasesError) as raised:
+        compose_language(bases, fragment)
+    assert str(raised.value) == (
+        "bases disagree and the fragment does not override: rule group Dec"
+    )
+    composed = compose_language([bases[0], bases[0]._replace(lexicon=bases[1].lexicon)], fragment)
+    assert composed.lexicon == (LexRule("Word", "[a-z]+", 20), LexRule("Int", "[0-9]+", 5))
+
+
+def test_compose_reports_lexicon_mods_then_rule_mods_then_conflicts():
+    bad_rule = (Modifier(EXTENDS, "NoGroup"), RuleGroup("NoGroup", ()))
+    bad_lex = (Modifier(ADD, "Int"), LexRule("Int", "x", 1))
+    with pytest.raises(DuplicateTargetError, match="^lexicon rule Int already defined$"):
+        compose_language(_disagreeing_bases(), LanguageFragment("t", (bad_lex,), (bad_rule,)))
+    with pytest.raises(UnknownTargetError, match="^no rule group NoGroup in any base$"):
+        compose_language(_disagreeing_bases(), LanguageFragment("t", (), (bad_rule,)))
+
+
+def test_extends_lexicon_rule_appends_an_alternation_in_place():
+    base = easytime_base()
+    fragment = LanguageFragment("t", lexicon_mods=(
+        (Modifier(EXTENDS, "Separator"), LexRule("Ignored", ",", 99)),
+    ))
+    composed = compose_language([base], fragment)
+    assert [r.name for r in composed.lexicon] == [r.name for r in base.lexicon]
+    assert lex_rule(composed, "Separator") == LexRule("Separator", r"(?:[;{}()\[\]])|(?:,)", 50)
+
+
+def test_extends_rule_group_appends_productions_in_place():
+    base = easytime_base()
+    extra = prod("DECS", "DEC", "decs_single")
+    fragment = LanguageFragment("t", rule_mods=(
+        (Modifier(EXTENDS, "Decs"), RuleGroup("Ignored", (extra,))),
+    ))
+    composed = compose_language([base], fragment)
+    assert list(composed.rule_groups) == list(base.rule_groups)
+    assert composed.rule_groups["Decs"] == RuleGroup(
+        "Decs", base.rule_groups["Decs"].productions + (extra,)
+    )
+
+
+@pytest.mark.parametrize("label", sorted(NAMESPACES))
+def test_add_names_its_payload_after_its_target(label):
+    fragment, payload, table, _ = NAMESPACES[label]
+    composed = compose_language([easytime_base()], fragment(
+        (Modifier(ADD, "Foo"), payload("Bar")),
+        (Modifier(ADD, "Bar"), payload("Bar")),
+    ))
+    added = list(table(composed).items())[-2:]
+    assert [(key, item.name) for key, item in added] == [("Foo", "Foo"), ("Bar", "Bar")]
+    assert validate_language(composed) == []
+    with pytest.raises(DuplicateTargetError, match=f"^{label} Foo already defined$"):
+        compose_language([easytime_base()], fragment(
+            (Modifier(ADD, "Foo"), payload("Bar")),
+            (Modifier(ADD, "Foo"), payload("Foo")),
+        ))
