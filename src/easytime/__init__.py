@@ -20,6 +20,7 @@ from .runtime import (
     init_race,
     race_results,
     replay,
+    result_tables,
 )
 from .agents_io import listen_auto, load_runners, read_event_log, write_results
 
@@ -48,6 +49,7 @@ __all__ = [
     "init_race",
     "race_results",
     "replay",
+    "result_tables",
     "listen_auto",
     "load_runners",
     "read_event_log",

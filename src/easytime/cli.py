@@ -41,8 +41,8 @@ from .runtime import (
     UnknownVariableError,
     check_rank_var,
     init_race,
-    race_results,
     replay,
+    result_tables,
     run_statements,
 )
 from .semantics import analyze
@@ -110,7 +110,8 @@ def _out_dir(args) -> str:
 
 
 def _export_results(race, args, out_dir: str) -> None:
-    tables = race_results(race, rank_var=args.rank, group_by=args.group)
+    # one group's table at a time, so an export holds about one group's rows
+    tables = result_tables(race, rank_var=args.rank, group_by=args.group)
     try:
         write_results(tables, out_dir)
     except OSError as exc:
@@ -132,8 +133,8 @@ def _start(args, event_paths, read_events=read_event_log):
         events.extend(_read(path, read_events, "event log"))
     events.sort(key=lambda e: e.timestamp_ms)
 
-    for warning in race.warnings:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    # one write: a large roster can warn thousands of times, and stderr is line-buffered
+    sys.stderr.write("".join(f"warning: {warning.message}\n" for warning in race.warnings))
     try:
         return ast, replay(race, ast, events), events
     except UnknownMeasuringPlaceError as exc:

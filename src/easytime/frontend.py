@@ -23,9 +23,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .langdef import TRIVIA, LanguageDef, LexRule, Production, symbol_kind
-
-EOF_KIND = "EOF"
+from .langdef import EOF_KIND, TRIVIA, LanguageDef, LexRule, Production, symbol_kind
 
 
 class LexError(Exception):

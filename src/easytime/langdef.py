@@ -33,6 +33,9 @@ OVERRIDES = "overrides"
 # never consumed by the parser.
 TRIVIA = frozenset({"Whitespace", "Comment"})
 
+# The token kind the parser reads as end of input; no lexicon rule may take the name.
+EOF_KIND = "EOF"
+
 _NONTERMINAL_RE = re.compile(r"[A-Z][A-Z0-9]*")
 
 
@@ -157,6 +160,9 @@ def validate_language(lang: LanguageDef) -> list[Diagnostic]:
                 Diagnostic(ERROR, "DuplicateLexRule", f"lexicon rule {rule.name} defined twice")
             )
         seen_names.add(rule.name)
+        if rule.name == EOF_KIND:
+            diags.append(Diagnostic(
+                ERROR, "ReservedLexRule", f"lexicon rule {EOF_KIND} is reserved for end of input"))
         try:
             compiled[rule.name] = re.compile(rule.pattern)
         except re.error as exc:

@@ -190,45 +190,62 @@ _GROUP_BY = {
 GROUPINGS = tuple(name for name in _GROUP_BY if name is not None)
 
 
-def race_results(
+def result_tables(
     race: RaceState,
     rank_var: str | None = None,
     group_by: str | None = None,
-) -> list[ResultTable]:
-    """Result tables, one per group.
+):
+    """A generator of the tables of ``race_results``, in its order, made one group at a time.
 
-    ``group_by`` is None or one of ``GROUPINGS``.  Rows sort ascending by
-    ``rank_var`` with undefined values last and runner id as tie-break; rank
-    numbers are assigned only to rows with a defined rank value.  Without
-    ``rank_var`` rows are in runner-id order and unranked.  One pass over
-    the roster groups the runners and computes each sort key; each row is
-    built once, after its group is sorted.
+    ``rank_var`` and ``group_by`` are checked, and the runners grouped, when this
+    is called.  Each table is made from ``race.per_runner`` as it is asked for, so
+    ``race`` must not be stepped until the generator is used up; ``serve`` exports
+    inside its sink, on the listener's one thread.  A consumer that drops each
+    table before taking the next holds about one group's rows at a time.
     """
     check_rank_var(race.var_names, rank_var)
     if group_by is not None and group_by not in GROUPINGS:
         raise ValueError(f"unknown grouping {group_by!r}")
     key_of, label_of = _GROUP_BY[group_by]
+    groups: defaultdict[object, list[Runner]] = defaultdict(list)
+    for runner in race.roster:
+        groups[key_of(runner)].append(runner)
+    # popped, so a group's runners go once its table is made
+    return (_result_table(race, groups.pop(key), rank_var, label_of(key)) for key in sorted(groups))
 
+
+def _result_table(race: RaceState, runners: list[Runner], rank_var, label: str) -> ResultTable:
     # entries (unranked, rank value, id, runner, variables); ids are unique, so sorting
     # never compares the runners or their variables
-    groups: defaultdict[object, list[tuple]] = defaultdict(list)
     per_runner = race.per_runner
-    for runner in race.roster:
+    entries = []
+    for runner in runners:
         variables = per_runner[runner.rfid]
         value = None if rank_var is None else variables[rank_var]
-        groups[key_of(runner)].append((value is None, value or 0, runner.id, runner, variables))
-
+        entries.append((value is None, value or 0, runner.id, runner, variables))
+    entries.sort()
     names = race.var_names
     # the tuple of a runner's variables at names; itemgetter needs two names to return one
     cells = (itemgetter(*names) if len(names) > 1
              else lambda variables: tuple(variables[name] for name in names))
-    tables: list[ResultTable] = []
-    for key in sorted(groups):
-        entries = groups[key]
-        entries.sort()
-        # ranked entries sort first, so a ranked entry's place is its rank
-        rows = tuple((None if unranked else place, runner.id, runner.last_name,
-                      runner.first_name, runner.gender, runner.category) + cells(variables)
-                     for place, (unranked, _, _, runner, variables) in enumerate(entries, 1))
-        tables.append(ResultTable(label_of(key), RUNNER_COLUMNS + names, rows, rank_var))
-    return tables
+    # ranked entries sort first, so a ranked entry's place is its rank
+    rows = tuple((None if unranked else place, runner.id, runner.last_name,
+                  runner.first_name, runner.gender, runner.category) + cells(variables)
+                 for place, (unranked, _, _, runner, variables) in enumerate(entries, 1))
+    return ResultTable(label, RUNNER_COLUMNS + names, rows, rank_var)
+
+
+def race_results(
+    race: RaceState,
+    rank_var: str | None = None,
+    group_by: str | None = None,
+) -> list[ResultTable]:
+    """Result tables, one per group, in the sorted order of the group keys.
+
+    ``group_by`` is None or one of ``GROUPINGS``.  Rows sort ascending by
+    ``rank_var`` with undefined values last and runner id as tie-break; rank
+    numbers are assigned only to rows with a defined rank value.  Without
+    ``rank_var`` rows are in runner-id order and unranked.  ``result_tables``
+    makes the same tables one at a time.
+    """
+    return list(result_tables(race, rank_var, group_by))

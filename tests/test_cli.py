@@ -189,6 +189,29 @@ def test_run_duplicate_roster_rfid(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {roster}: rfid CC001 appears twice in roster\n"
 
 
+def test_run_warns_of_each_missing_arm_in_roster_then_variable_order(tmp_path, capsys):
+    program = tmp_path / "arms.ez"
+    program.write_text(
+        "2 auto 192.168.225.100;\n"
+        "var A := { (category==1) -> 4 };\n"
+        "var B := { (category==2) -> 6 };\n"
+        "mp[1] -> agnt[2] {\n  (true) -> dec A;\n  (true) -> dec B;\n}\n")
+    roster = tmp_path / "roster.csv"
+    roster.write_text(
+        "id,rfid,last_name,first_name,gender,category\n"
+        "1,R1,Novak,Ana,female,1\n2,R2,Horvat,Ivo,male,3\n3,R3,Kovac,Maja,female,2\n")
+    log = tmp_path / "events.log"
+    log.write_text("1,R1,1000\n")
+    status = run_cli("run", program, "--runners", roster, "--events", log,
+                     "--out", tmp_path / "out")
+    assert status == 0
+    assert capsys.readouterr().err == (
+        "warning: runner 1 (R1): no value for category 1 in B\n"
+        "warning: runner 2 (R2): no value for category 3 in A\n"
+        "warning: runner 2 (R2): no value for category 3 in B\n"
+        "warning: runner 3 (R3): no value for category 2 in A\n")
+
+
 def test_run_uses_env_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("EASYTIME_OUT", str(tmp_path / "env_out"))
     status = run_cli(

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from easytime.diagnostics import ERROR, Diagnostic
 from easytime.langdef import (
     ADD,
     EXTENDS,
@@ -233,6 +234,20 @@ def test_validate_reports_unmatchable_literal():
         "DEC",
     )
     assert any(d.code == "UnmatchableLiteral" for d in validate_language(lang))
+
+
+def test_validate_rejects_a_lexicon_rule_named_like_end_of_input():
+    # the parser would take every "." for end of input and drop the rest of the source
+    lang = LanguageDef(
+        "t",
+        (LexRule("Whitespace", "[ ]+", 0), LexRule("Id", "[a-z]+", 10), LexRule("EOF", "[.]", 20)),
+        {"G": RuleGroup("G", (prod("S", "#Id", "k"),))},
+        "S",
+    )
+    assert validate_language(lang) == [Diagnostic(
+        ERROR, "ReservedLexRule", "lexicon rule EOF is reserved for end of input")]
+    assert validate_language(easytime_base()) == []
+    assert validate_language(easytime_pp()) == []
 
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from easytime.diagnostics import WARNING, Diagnostic
 from easytime.frontend import Predicate, Statement, VarDecl, parse_source
 from easytime.langdef import LexRule, easytime_base, easytime_pp
 from easytime.runtime import (
+    GENDERS,
     GROUPINGS,
     RUNNER_COLUMNS,
     DuplicateRfidError,
@@ -22,6 +24,7 @@ from easytime.runtime import (
     init_race,
     race_results,
     replay,
+    result_tables,
     run_statements,
 )
 from easytime.semantics import StaticState, analyze, decl_sequence
@@ -310,10 +313,12 @@ def test_race_results_grouping():
 
 def test_race_results_rejects_unknown_rank_var():
     race = finished_cyclo_race()
-    with pytest.raises(UnknownVariableError):
-        race_results(race, rank_var="NOPE")
-    with pytest.raises(ValueError):
-        race_results(race, group_by="shoe-size")
+    # result_tables checks when called, before the first table is asked for
+    for results in (race_results, result_tables):
+        with pytest.raises(UnknownVariableError):
+            results(race, rank_var="NOPE")
+        with pytest.raises(ValueError):
+            results(race, group_by="shoe-size")
 
 
 def test_log_records_fired_statements():
@@ -512,4 +517,34 @@ def test_property_race_results_equal_the_direct_reference():
                 tables = race_results(race, rank_var=rank_var, group_by=group_by)
                 got = [(t.label, t.columns, t.rows, t.rank_var) for t in tables]
                 assert got == reference_results(race, rank_var, group_by)
+                assert list(result_tables(race, rank_var, group_by)) == tables
     assert {0, 1, 2} <= sizes  # no variables, one variable, and more
+
+
+def peak_bytes(consume) -> int:
+    """The most memory ``consume()`` had allocated at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        consume()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_result_tables_hold_one_group_at_a_time():
+    state = decl_sequence([VarDecl("T", "dynamic"), VarDecl("N", "plain", value=1)],
+                          StaticState.empty())
+    roster = [Runner(i, f"R{i}", f"Last{i % 50}", f"First{i % 40}", GENDERS[i % 2], i // 2 % 10)
+              for i in range(20_000)]
+    race = init_race(state, roster)
+    for rfid in list(race.per_runner)[::2]:
+        race.per_runner[rfid] = {"T": hash(rfid) % 1000, "N": 1}
+
+    def stream():
+        for table in result_tables(race, "T", "category-gender"):
+            assert len(table.rows) == 1_000
+    assert len(race_results(race, "T", "category-gender")) == 20
+    streamed = peak_bytes(stream)
+    whole = peak_bytes(lambda: race_results(race, "T", "category-gender"))
+    assert streamed < whole / 3, (streamed, whole)
