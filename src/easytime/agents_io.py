@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections.abc import Iterable
 
 from .runtime import GENDERS, Event, ResultTable, Runner
 
@@ -156,7 +157,7 @@ def listen_auto(port: int, sink):
     return AutoAgentListener(port, sink)
 
 
-def write_results(tables: list[ResultTable], out_dir: str | os.PathLike) -> list:
+def write_results(tables: Iterable[ResultTable], out_dir: str | os.PathLike) -> list:
     """One CSV per table under ``out_dir``, and their ``Path``s; undefined values
     become empty cells.  Each file is replaced whole, so a reader never sees part of one."""
     from pathlib import Path

@@ -6,13 +6,14 @@ including whitespace and comments, so the token stream reproduces the input
 exactly.  Each call works out from the parsed patterns which rules can start
 a match with each ASCII character, and a position tries only those; a rule
 the analysis cannot bound is tried everywhere.  ``parse`` is one
-table-driven loop with single-token lookahead.  Its tables come from one
-builder, ``_tries``, which runs FIRST/FOLLOW over the definition's
-productions and returns a prediction trie per nonterminal; alternatives
-sharing a prefix share a trie path until the lookahead separates them, and
-end of input is one more token kind.  An explicit stack replaces recursion,
-so how deeply a program nests is bounded by memory and not by the recursion
-limit.
+table-driven loop with single-token lookahead that pulls its tokens one at a
+time; ``parse_source`` feeds it the scan as it goes, so a compile holds the
+tree, not every token.  Its tables come from one builder, ``_tries``, which
+runs FIRST/FOLLOW over the definition's productions and returns a prediction
+trie per nonterminal; alternatives sharing a prefix share a trie path until
+the lookahead separates them, and end of input is one more token kind.  An
+explicit stack replaces recursion, so how deeply a program nests is bounded
+by memory and not by the recursion limit.
 Semantic values are built bottom-up by handlers looked up per production
 action key, which is what makes an overridden rule group change the
 produced syntax tree.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .langdef import EOF_KIND, TRIVIA, LanguageDef, LexRule, Production, symbol_kind
 
@@ -163,8 +165,17 @@ def tokenize(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> list[
     and keeps the longest match, then the lower priority, then the earlier
     rule.  A rule whose pattern uses a construct the analysis does not bound
     (a lookaround, a group reference, an inline flag) is tried at every
-    position, so the table never changes the tokens.
+    position, so the table never changes the tokens.  Returns every token in
+    one list; ``parse`` also takes them as a stream, which ``parse_source``
+    uses.
     """
+    return list(_scan(source, lexicon))
+
+
+def _scan(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> Iterator[Token]:
+    """The tokens of ``tokenize``, one per ``next``.  The first ``next`` checks
+    that the source is ASCII and builds the table, and a character no rule
+    matches raises ``LexError`` when the scan reaches it."""
     if not source.isascii():
         line, column = 1, 1
         for ch in source:
@@ -176,8 +187,7 @@ def tokenize(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> list[
                 column += 1
     table = _dispatch(lexicon)
 
-    tokens: list[Token] = []
-    append, new_tuple = tokens.append, tuple.__new__  # skips Token's Python-level __new__
+    new_tuple = tuple.__new__  # skips Token's Python-level __new__
     pos, line, line_start = 0, 1, 0
     while pos < len(source):
         name, end, priority = None, pos, 0
@@ -192,12 +202,11 @@ def tokenize(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> list[
         if name is None:
             raise LexError(line, pos - line_start + 1, f"unexpected character {source[pos]!r}")
         text = source[pos:end]
-        append(new_tuple(Token, (name, text, line, pos - line_start + 1)))
+        yield new_tuple(Token, (name, text, line, pos - line_start + 1))
         if "\n" in text:
             line += text.count("\n")
             line_start = pos + text.rfind("\n") + 1
         pos = end
-    return tokens
 
 
 # --- Prediction tables ------------------------------------------------
@@ -219,13 +228,14 @@ class _Node:
     """The productions of one nonterminal that share a prefix of ``depth`` symbols.
 
     ``next`` maps each symbol that can follow the prefix to its child node and
-    whether the symbol is a nonterminal.  ``predict`` maps a lookahead
-    selector to the next symbols it selects.  ``complete`` is the first
-    production that ends here and ``expected`` describes every selector, for
-    the error message.
+    whether the symbol is a nonterminal.  ``by_text`` and ``by_kind`` map a
+    lookahead token's text and kind to the next symbols they select, so a
+    token is looked up without building its selectors.  ``complete`` is the
+    first production that ends here and ``expected`` describes every
+    selector, for the error message.
     """
 
-    __slots__ = ("next", "predict", "complete", "expected")
+    __slots__ = ("next", "by_text", "by_kind", "complete", "expected")
 
     def __init__(self, predict_selectors, nt: str, prods: list[Production], depth: int = 0):
         self.complete = next((p for p in prods if len(p.rhs) == depth), None)
@@ -238,11 +248,13 @@ class _Node:
             )
             for symbol in dict.fromkeys(p.rhs[depth] for p in longer)
         }
-        self.predict: dict[tuple, set[str]] = {}
+        predict: dict[tuple, set[str]] = {}
         for p in longer:
             for selector in predict_selectors(p.rhs[depth:], nt):
-                self.predict.setdefault(selector, set()).add(p.rhs[depth])
-        self.expected = tuple(sorted(map(_describe_selector, self.predict)))
+                predict.setdefault(selector, set()).add(p.rhs[depth])
+        self.by_text = {key: symbols for (kind, key), symbols in predict.items() if kind == "lit"}
+        self.by_kind = {key: symbols for (kind, key), symbols in predict.items() if kind == "kind"}
+        self.expected = tuple(sorted(map(_describe_selector, predict)))
 
 
 def _tries(lang: LanguageDef) -> dict[str, _Node]:
@@ -311,8 +323,17 @@ def _describe_token(token: Token) -> str:
     return f"{token.kind} {token.text!r}"
 
 
-def parse(tokens: list[Token], lang: LanguageDef) -> ProgramAst:
-    """Parse a token stream into a program tree under the given definition.
+def parse(tokens: Iterable[Token], lang: LanguageDef) -> ProgramAst:
+    """Parse tokens into a program tree under the given definition.
+
+    ``tokens`` is any iterable of tokens, trivia included: the list from
+    ``tokenize``, or the scan that ``parse_source`` streams.  Tokens are
+    pulled one at a time and trivia is skipped as it arrives, so a parse
+    holds the tree it builds, not every token.  End of input sits just past
+    the last significant token, or at 1:1 when there is none.  If anything
+    raises once the stream is open, the rest of the stream is read before the
+    error propagates, so a ``LexError`` anywhere in the source wins over any
+    parse error, as when the whole source is tokenized first.
 
     One loop over an explicit stack with a frame per open nonterminal, so
     nesting is bounded by memory and not by the recursion limit.  Each frame
@@ -320,12 +341,18 @@ def parse(tokens: list[Token], lang: LanguageDef) -> ProgramAst:
     from the definition: a token either selects the one next symbol, or ends
     the frame's production, or is an error.
     """
+    stream = iter(tokens)
+    try:
+        return _parse(stream, lang)
+    except Exception:
+        for _ in stream:  # a LexError raised here replaces the error being handled
+            pass
+        raise
+
+
+def _parse(stream: Iterator[Token], lang: LanguageDef) -> ProgramAst:
     tries = _tries(lang)
-    significant = [t for t in tokens if t.kind not in TRIVIA]
-    last = significant[-1] if significant else Token(EOF_KIND, "", 1, 1)
-    significant.append(Token(EOF_KIND, "", last.line, last.column + len(last.text)))
-    stream = iter(significant)
-    token = next(stream)
+    token = next((t for t in stream if t.kind not in TRIVIA), Token(EOF_KIND, "", 1, 1))
     start = lang.start_symbol
     if start not in tries:
         raise ParseError(token.line, token.column, f"nonterminal {start} has no productions")
@@ -333,8 +360,8 @@ def parse(tokens: list[Token], lang: LanguageDef) -> ProgramAst:
     stack = [[start, tries[start], [], token]]
     while True:
         nt, node, children, first_token = frame = stack[-1]
-        by_text = node.predict.get(("lit", token.text))
-        by_kind = node.predict.get(("kind", token.kind))
+        by_text = node.by_text.get(token.text)
+        by_kind = node.by_kind.get(token.kind)
         symbols = by_text | by_kind if by_text and by_kind else by_text or by_kind
         if not symbols:
             if node.complete is None:
@@ -369,7 +396,12 @@ def parse(tokens: list[Token], lang: LanguageDef) -> ProgramAst:
                 stack.append([symbol, tries[symbol], [], token])
             else:
                 children.append(token)
-                token = next(stream, token)  # past the end stays at end of input
+                last = token
+                for token in stream:
+                    if token.kind not in TRIVIA:
+                        break
+                else:  # end of input, just past the last significant token, and stays there
+                    token = Token(EOF_KIND, "", last.line, last.column + len(last.text))
     if token.kind != EOF_KIND:
         raise ParseError(
             token.line,
@@ -381,7 +413,7 @@ def parse(tokens: list[Token], lang: LanguageDef) -> ProgramAst:
 
 
 def parse_source(source: str, lang: LanguageDef) -> ProgramAst:
-    return parse(tokenize(source, lang.lexicon), lang)
+    return parse(_scan(source, lang.lexicon), lang)
 
 
 # --- Tree-building handlers -------------------------------------------

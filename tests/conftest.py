@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import string
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,14 @@ def random_program(rng: random.Random) -> ProgramAst:
         places.append(MeasuringPlace(mp_id, rng.choice(agent_ids), tuple(stmts)))
 
     return ProgramAst(tuple(agents), tuple(decls), tuple(places))
+
+
+def peak_bytes(consume) -> int:
+    """The most memory ``consume()`` had allocated at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        consume()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conftest import program_source, random_program
+from conftest import peak_bytes, program_source, random_program
 from easytime.diagnostics import ERROR, Diagnostic
 from easytime.frontend import (
     AgentDecl,
@@ -18,6 +18,7 @@ from easytime.frontend import (
     Token,
     VarDecl,
     _first_codes,
+    parse,
     parse_source,
     pretty,
     tokenize,
@@ -398,3 +399,106 @@ def test_positioned_nodes_compare_without_positions_and_only_with_their_own_type
     twin = type("Twin", (type(node),), {"__slots__": ()})(*node)
     assert twin != node and node != twin and not node == twin
     assert node != tuple(node) and tuple(node) != node and not tuple(node) == node
+
+
+# --- Streaming: parse pulls tokens, with the errors of a whole-list parse ------
+
+def tiny(start: str, action_key: str = "pred_true") -> LanguageDef:
+    """Words and whitespace, and the one production ``S -> x``."""
+    return LanguageDef("tiny", WORDS, {"S": RuleGroup("S", (prod("S", "x", action_key),))}, start)
+
+
+@pytest.mark.parametrize("lang, source, error", [
+    (easytime_pp(), "var X := ;\nvar Y := 1; ", ParseError),  # an early syntax error
+    (tiny("S"), "x y ", ParseError),  # trailing tokens after a complete program
+    (tiny("T"), " x ", ParseError),  # the start symbol has no productions
+    (easytime_pp(), '0 manual "m.dat";\n', ParseError),  # a handler rejects a value
+    (tiny("S", "nowhere"), "x ", LookupError),  # no handler for an action key
+], ids=["syntax", "trailing", "no-productions", "handler", "no-handler"])
+def test_a_later_bad_character_wins_over_an_earlier_error(lang, source, error):
+    with pytest.raises(error):
+        parse_source(source, lang)
+    with pytest.raises(LexError) as err:
+        parse_source(source + "x @", lang)
+    last_line = source.split("\n")[-1]
+    assert (err.value.line, err.value.column) == (source.count("\n") + 1, len(last_line) + 3)
+
+
+@pytest.mark.parametrize("lang, source, position", [
+    (easytime_pp(), "var X := 1 // no semicolon\n\n", (1, 11)),
+    (easytime_pp(), "var X := 1;\nmp[1] -> agnt[1] {\n  (true) -> upd X;\n", (3, 19)),
+    (tiny("S"), "", (1, 1)),
+    (tiny("S"), "  \n  ", (1, 1)),
+])
+def test_end_of_input_sits_just_past_the_last_significant_token(lang, source, position):
+    with pytest.raises(ParseError) as err:
+        parse_source(source, lang)
+    assert (err.value.line, err.value.column) == position
+    assert err.value.message.endswith("got end of input")
+
+
+@pytest.mark.parametrize("name", ["ironman", "cyclocross", "biathlon"])
+def test_parse_takes_any_iterable_of_tokens(name):
+    lang = easytime_pp()
+    tokens = tokenize(program_source(name), lang.lexicon)
+    assert repr(parse(iter(tokens), lang)) == repr(parse(tokens, lang))
+
+
+def outcome(parse_it) -> tuple:
+    """The tree, positions included, or the error's type, position, message and expectations."""
+    try:
+        return ("tree", repr(parse_it()))
+    except (LexError, ParseError) as err:
+        return (type(err).__name__, err.line, err.column, err.message,
+                getattr(err, "expected", None))
+
+
+JUNK = (";", "@", ",", "\u00e9", "}", "mp[", "var", "dynamicvar", "\n", "// c\n", "0", "(")
+
+
+def mutations(rng: random.Random, source: str) -> list[str]:
+    """The source, three with a span deleted, three with junk inserted, and one with
+    an early ``;`` and a late ``@``."""
+    variants = [source]
+    for _ in range(3):
+        i, j = sorted(rng.sample(range(len(source) + 1), 2))
+        variants.append(source[:i] + source[j:])
+    for _ in range(3):
+        i = rng.randrange(len(source) + 1)
+        variants.append(source[:i] + rng.choice(JUNK) + source[i:])
+    i, j = sorted(rng.sample(range(len(source) + 1), 2))
+    variants.append(source[:i] + ";" + source[i:j] + "@" + source[j:])
+    return variants
+
+
+@pytest.mark.parametrize("lang", [easytime_base(), easytime_pp()], ids=lambda lang: lang.name)
+def test_streamed_parse_equals_parse_of_the_token_list(lang):
+    rng = random.Random(2024)
+    kinds = set()
+    for _ in range(30):
+        for source in mutations(rng, pretty(random_program(rng))):
+            streamed = outcome(lambda: parse_source(source, lang))
+            listed = outcome(lambda: parse(tokenize(source, lang.lexicon), lang))
+            assert streamed == listed, source
+            kinds.add(streamed[0])
+    assert kinds == {"tree", "LexError", "ParseError"}
+
+
+def test_a_streamed_compile_holds_the_tree_not_every_token():
+    names = [f"V{i}" for i in range(8)]
+    ast = ProgramAst(
+        (AgentDecl(1, "manual", "m.dat"), AgentDecl(2, "auto", "192.168.0.2")),
+        tuple(VarDecl(name, "plain", value=i) for i, name in enumerate(names)),
+        tuple(
+            MeasuringPlace(mp, 1 + mp % 2, tuple(
+                Statement(Predicate("equals", names[k], k), "upd", names[(k + mp) % 8])
+                for k in range(4)
+            ))
+            for mp in range(1, 257)
+        ),
+    )
+    source, lang = pretty(ast), easytime_pp()
+    assert parse_source(source, lang) == ast
+    streamed = peak_bytes(lambda: parse_source(source, lang))
+    listed = peak_bytes(lambda: parse(tokenize(source, lang.lexicon), lang))
+    assert streamed < listed / 2, (streamed, listed)

@@ -1,11 +1,10 @@
 from __future__ import annotations
 
 import random
-import tracemalloc
 
 import pytest
 
-from conftest import program_source, random_program
+from conftest import peak_bytes, program_source, random_program
 from easytime.diagnostics import WARNING, Diagnostic
 from easytime.frontend import Predicate, Statement, VarDecl, parse_source
 from easytime.langdef import LexRule, easytime_base, easytime_pp
@@ -519,17 +518,6 @@ def test_property_race_results_equal_the_direct_reference():
                 assert got == reference_results(race, rank_var, group_by)
                 assert list(result_tables(race, rank_var, group_by)) == tables
     assert {0, 1, 2} <= sizes  # no variables, one variable, and more
-
-
-def peak_bytes(consume) -> int:
-    """The most memory ``consume()`` had allocated at once, as tracemalloc counts it."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        consume()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 def test_result_tables_hold_one_group_at_a_time():
