@@ -11,6 +11,7 @@ on one thread and hands events to its sink one at a time, in arrival order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -45,30 +46,33 @@ def load_runners(path: str | os.PathLike) -> list[Runner]:
     runners: list[Runner] = []
     with open(path, newline="", encoding="ascii") as handle:
         reader = csv.reader(handle)
-        if next(reader, None) != ROSTER_HEADER:
-            raise MalformedRowError(1, f"header must be {','.join(ROSTER_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(ROSTER_HEADER):
-                raise MalformedRowError(lineno, f"expected {len(ROSTER_HEADER)} fields, got {len(row)}")
-            raw_id, rfid, last_name, first_name, raw_gender, raw_category = row
-            try:
-                runner_id = int(raw_id)
-            except ValueError:
-                raise MalformedRowError(lineno, f"id {raw_id!r} is not an integer") from None
-            if not rfid:
-                raise MalformedRowError(lineno, "empty rfid")
-            if (gender := genders.get(raw_gender)) is None:
-                raise MalformedRowError(
-                    lineno, f"gender must be one of {'/'.join(GENDERS)}, got {raw_gender!r}")
-            try:
-                category = int(raw_category)
-            except ValueError:
-                raise MalformedRowError(lineno, f"category {raw_category!r} is not an integer") from None
-            if category < 0:
-                raise MalformedRowError(lineno, f"category must be >= 0, got {category}")
-            runners.append(Runner(runner_id, rfid, last_name, first_name, gender, category))
+        try:
+            if next(reader, None) != ROSTER_HEADER:
+                raise MalformedRowError(1, f"header must be {','.join(ROSTER_HEADER)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(ROSTER_HEADER):
+                    raise MalformedRowError(lineno, f"expected {len(ROSTER_HEADER)} fields, got {len(row)}")
+                raw_id, rfid, last_name, first_name, raw_gender, raw_category = row
+                try:
+                    runner_id = int(raw_id)
+                except ValueError:
+                    raise MalformedRowError(lineno, f"id {raw_id!r} is not an integer") from None
+                if not rfid:
+                    raise MalformedRowError(lineno, "empty rfid")
+                if (gender := genders.get(raw_gender)) is None:
+                    raise MalformedRowError(
+                        lineno, f"gender must be one of {'/'.join(GENDERS)}, got {raw_gender!r}")
+                try:
+                    category = int(raw_category)
+                except ValueError:
+                    raise MalformedRowError(lineno, f"category {raw_category!r} is not an integer") from None
+                if category < 0:
+                    raise MalformedRowError(lineno, f"category must be >= 0, got {category}")
+                runners.append(Runner(runner_id, rfid, last_name, first_name, gender, category))
+        except csv.Error as exc:  # a field past the csv module's size limit; on 3.10, a NUL byte
+            raise MalformedRowError(reader.line_num, str(exc)) from None
     return runners
 
 
@@ -157,18 +161,16 @@ def listen_auto(port: int, sink):
     return AutoAgentListener(port, sink)
 
 
-def write_results(tables: Iterable[ResultTable], out_dir: str | os.PathLike) -> list:
-    """One CSV per table under ``out_dir``, and their ``Path``s; undefined values
+def write_results(tables: Iterable[ResultTable], out_dir: str | os.PathLike) -> list[str]:
+    """One CSV per table under ``out_dir``, and their paths; undefined values
     become empty cells.  Each file is replaced whole, so a reader never sees part of one."""
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    os.makedirs(out_dir, exist_ok=True)
+    written: list[str] = []
     for table in tables:
         name = f"results_{table.label}.csv" if table.label else "results.csv"
-        path = out / name
-        part = out / f".{name}.{os.getpid()}.part"  # two processes may share out_dir
+        path = os.path.join(out_dir, name)
+        # two processes may share out_dir
+        part = os.path.join(out_dir, f".{name}.{os.getpid()}.part")
         try:
             with open(part, "w", newline="", encoding="ascii") as handle:
                 writer = csv.writer(handle)
@@ -176,7 +178,8 @@ def write_results(tables: Iterable[ResultTable], out_dir: str | os.PathLike) -> 
                 writer.writerows(table.rows)  # csv writes None as an empty cell
             os.replace(part, path)
         except BaseException:
-            part.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
             raise
         written.append(path)
     return written

@@ -1,7 +1,8 @@
 """Command-line surface: check, run, serve, results.
 
-``run``, ``results`` and ``serve`` replay through ``_start``; ``run`` journals what it
-read.  A journal's torn last line is warned of and left out; ``serve`` also cuts it off.
+``run``, ``results`` and ``serve`` start through ``_start``, which steps the race it
+builds in place, keeping no log; ``run`` journals what it read.  A journal's torn last
+line is warned of and left out; ``serve`` also cuts it off.
 
 Exit codes: 0 success, 1 language error (lex/parse/semantic, an unknown
 ``--rank`` variable, events aimed at unknown measuring places), 2 I/O or
@@ -41,9 +42,10 @@ from .runtime import (
     UnknownVariableError,
     check_rank_var,
     init_race,
-    replay,
+    place_statements,
     result_tables,
     run_statements,
+    step_events,
 )
 from .semantics import analyze
 
@@ -119,8 +121,8 @@ def _export_results(race, args, out_dir: str) -> None:
 
 
 def _start(args, event_paths, read_events=read_event_log):
-    """Compile, load the roster, check ``--rank``, replay the events of ``read_events(path)``
-    for each path, by timestamp; returns the program, the race and the events replayed."""
+    """Compile, load the roster, check ``--rank``, step the events of ``read_events(path)``
+    for each path, by timestamp; returns the program, the race and the events stepped."""
     ast, state = _compile(args.program, args.dialect)
     race = _read(args.runners, lambda path: init_race(state, load_runners(path)), "roster")
     try:
@@ -135,10 +137,13 @@ def _start(args, event_paths, read_events=read_event_log):
 
     # one write: a large roster can warn thousands of times, and stderr is line-buffered
     sys.stderr.write("".join(f"warning: {warning.message}\n" for warning in race.warnings))
+    # the race is this command's own: it is stepped in place, and skipped-dec warnings dropped
     try:
-        return ast, replay(race, ast, events), events
+        for _ in step_events(race, ast, events, []):
+            pass
     except UnknownMeasuringPlaceError as exc:
         raise _Failure(EXIT_LANG, str(exc))
+    return ast, race, events
 
 
 def cmd_run(args) -> None:
@@ -149,6 +154,7 @@ def cmd_run(args) -> None:
         write_event_log(events, os.path.join(out_dir, JOURNAL_NAME))
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot write journal: {exc.strerror}")
+    del events  # journaled, so the export holds only the race
     _export_results(race, args, out_dir)
 
 
@@ -194,14 +200,15 @@ def cmd_serve(args) -> None:
 
     applied = 0
     done = threading.Event()
-    stmts_at = {place.mp_id: place.stmts for place in ast.places}
+    statements = place_statements(ast)
 
     # runs on the listener's one thread; the listener acks only after it returns
     def sink(event):
         nonlocal applied
-        stmts = stmts_at.get(event.mp_id)
-        if stmts is None:  # refused as run refuses it; the listener replies ERR
-            raise MalformedEventError(f"no measuring place {event.mp_id}")
+        try:
+            stmts = statements(event)
+        except UnknownMeasuringPlaceError as exc:  # refused by run's rule; the listener replies ERR
+            raise MalformedEventError(f"no measuring place {exc.mp_id}") from None
         journal.write(format_event(event) + "\n")
         journal.flush()
         # only once journaled, so live state never runs ahead of the journal; serve owns the

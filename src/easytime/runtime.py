@@ -5,9 +5,12 @@ category; the runners of one category share one read-only dict of them.  A
 crossing event selects a measuring place and runs its guarded statements in
 source order on a copy of that runner's variables, which replaces their entry;
 guards see updates made earlier in the same event.  ``run_statements`` is that
-step.  ``replay`` folds events through it into a new race state and never
-mutates the old one; ``apply_event`` is its one-event case.  ``serve`` owns its
-race and runs the step on it directly.
+step, and ``place_statements`` the rule that refuses an event aimed at a place
+the program lacks.  ``step_events`` is the one ingestion core: it steps events
+in place on a race its caller owns, as ``run`` and ``results`` do with the race
+``init_race`` built.  ``replay`` folds it over a copy of the race, keeping a log,
+and never mutates the old state; ``apply_event`` is its one-event case.
+``serve`` checks each event's place before journaling it, then steps it.
 """
 
 from __future__ import annotations
@@ -114,8 +117,22 @@ def eval_predicate(pred: Predicate, variables: RunnerVars) -> bool:
 
 
 def apply_event(race: RaceState, ast: ProgramAst, event: Event) -> RaceState:
-    """``replay`` of one event; it copies ``race.log``, so ``serve`` runs ``run_statements``."""
+    """``replay`` of one event; it copies ``race.per_runner`` and ``race.log``, so callers
+    that own their race step it with ``step_events`` instead."""
     return replay(race, ast, (event,))
+
+
+def place_statements(ast: ProgramAst):
+    """The unknown-place rule: a function from an event and its index to the statements
+    of its measuring place in ``ast``, which raises UnknownMeasuringPlaceError naming
+    the index for a place ``ast`` lacks."""
+    stmts_at = {place.mp_id: place.stmts for place in ast.places}
+
+    def statements(event: Event, index: int = 0):
+        if (stmts := stmts_at.get(event.mp_id)) is None:
+            raise UnknownMeasuringPlaceError(event.mp_id, index)
+        return stmts
+    return statements
 
 
 def run_statements(stmts, per_runner: dict[str, RunnerVars], event: Event, warnings: list):
@@ -148,28 +165,35 @@ def run_statements(stmts, per_runner: dict[str, RunnerVars], event: Event, warni
     return tuple(fired)
 
 
+def step_events(race: RaceState, ast: ProgramAst, events, warnings: list):
+    """Step ``events``, in the order given, in place on ``race``, which the caller owns.
+
+    A generator: each event is stepped as it is asked for, through ``run_statements``
+    on ``race.per_runner``, and yielded with what that returned, so a caller that keeps
+    nothing holds no record per event.  A skipped ``dec`` appends to ``warnings``.
+    Raises UnknownMeasuringPlaceError at the first event aimed at a missing place,
+    leaving the events before it stepped.
+    """
+    statements = place_statements(ast)
+    per_runner = race.per_runner
+    for index, event in enumerate(events):
+        yield event, run_statements(statements(event, index), per_runner, event, warnings)
+
+
 def replay(race: RaceState, ast: ProgramAst, events) -> RaceState:
     """Run each event, in the order given, through its measuring place's statements.
 
-    Events for rfids not on the roster are logged as unmatched and change
-    nothing else.  ``race`` is not mutated: ``run_statements`` replaces a
-    runner's entry in a copy of ``race.per_runner``, so an event's cost grows
-    with neither the roster nor the log.  Raises
-    UnknownMeasuringPlaceError naming the first event aimed at a missing place.
+    The fold of ``step_events`` over a copy of ``race.per_runner``, logging each
+    event; events for rfids not on the roster are logged as unmatched and change
+    nothing else.  ``race`` is not mutated, and an event's cost grows with neither
+    the roster nor the log.  Raises UnknownMeasuringPlaceError naming the first
+    event aimed at a missing place.
     """
-    stmts_at = {place.mp_id: place.stmts for place in ast.places}
-    per_runner = dict(race.per_runner)
-    log: list[LogEntry] = []
+    stepped = race._replace(per_runner=dict(race.per_runner))
     warnings: list[RaceWarning] = []
-    for index, event in enumerate(events):
-        stmts = stmts_at.get(event.mp_id)
-        if stmts is None:
-            raise UnknownMeasuringPlaceError(event.mp_id, index)
-        fired = run_statements(stmts, per_runner, event, warnings)
-        log.append(LogEntry(event, fired or (), matched=fired is not None))
-
-    return race._replace(per_runner=per_runner, log=race.log + tuple(log),
-                         warnings=race.warnings + tuple(warnings))
+    log = tuple(LogEntry(event, fired or (), matched=fired is not None)
+                for event, fired in step_events(stepped, ast, events, warnings))
+    return stepped._replace(log=race.log + log, warnings=race.warnings + tuple(warnings))
 
 
 def check_rank_var(var_names: tuple[str, ...], rank_var: str | None) -> None:

@@ -8,6 +8,7 @@ hand simulation of the fixture scenarios; they are asserted exactly.
 from __future__ import annotations
 
 import copy
+import os
 import random
 import socket
 import sys
@@ -181,7 +182,7 @@ def test_criterion_5_cyclocross_end_to_end(tmp_path):
 
         tables = race_results(race, rank_var="BIKE", group_by="category-gender")
         paths = write_results(tables, tmp_path)
-        assert sorted(p.name for p in paths) == [
+        assert sorted(map(os.path.basename, paths)) == [
             "results_cat1_female.csv", "results_cat1_male.csv",
             "results_cat2_female.csv", "results_cat2_male.csv",
             "results_cat3_female.csv", "results_cat3_male.csv",
@@ -240,7 +241,11 @@ def _stream(port: int, events: list[Event]) -> None:
 def _results_bytes(race, tmp_path, tag: str) -> bytes:
     out = tmp_path / tag
     paths = write_results(race_results(race), out)
-    return b"".join(p.read_bytes() for p in sorted(paths))
+    chunks = []
+    for path in sorted(paths):
+        with open(path, "rb") as handle:
+            chunks.append(handle.read())
+    return b"".join(chunks)
 
 
 def test_criterion_7_transport_equivalence(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import os
 import random
 import socket
 import threading
@@ -93,6 +94,19 @@ def test_load_runners_rejects_wrong_field_count(tmp_path):
     with pytest.raises(MalformedRowError) as err:
         load_runners(path)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("text, line", [
+    ("id,rfid," + "x" * 200_000 + "\n", 1),
+    ("id,rfid,last_name,first_name,gender,category\n1,TAG001,Novak,Ana,female,1\n"
+     "2,TAG002," + "x" * 200_000 + ",Maja,female,2\n", 3),
+], ids=["header", "record"])
+def test_load_runners_rejects_a_field_past_the_csv_size_limit(tmp_path, text, line):
+    path = tmp_path / "roster.csv"
+    path.write_text(text)
+    with pytest.raises(MalformedRowError) as err:
+        load_runners(path)
+    assert str(err.value) == f"line {line}: field larger than field limit (131072)"
 
 
 # --- event lines ------------------------------------------------------
@@ -358,8 +372,9 @@ def sample_table(label: str) -> ResultTable:
 
 def test_write_results_single_table(tmp_path):
     paths = write_results([sample_table("")], tmp_path)
-    assert [p.name for p in paths] == ["results.csv"]
-    lines = paths[0].read_text().splitlines()
+    assert [os.path.basename(p) for p in paths] == ["results.csv"]
+    with open(paths[0]) as handle:
+        lines = handle.read().splitlines()
     assert lines[0] == "rank,id,last_name,first_name,gender,category,RUN"
     assert lines[1] == "1,1,Novak,Ana,female,1,5000"
     assert lines[2] == ",2,Kovac,Maja,female,2,"  # undefined cells stay empty
@@ -382,5 +397,5 @@ def test_write_results_keeps_the_old_table_when_a_write_fails(tmp_path):
 def test_write_results_one_file_per_group(tmp_path):
     labels = [f"cat{c}_{g}" for c in (1, 2, 3) for g in ("female", "male")]
     paths = write_results([sample_table(label) for label in labels], tmp_path)
-    assert sorted(p.name for p in paths) == sorted(f"results_{label}.csv" for label in labels)
+    assert sorted(map(os.path.basename, paths)) == sorted(f"results_{label}.csv" for label in labels)
     assert len(paths) == 6

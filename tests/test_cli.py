@@ -162,6 +162,22 @@ def test_run_malformed_roster(tmp_path, capsys):
     assert "gender" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, source", [
+    ("run", ("--events", EVENTS / "cyclocross.log")),
+    ("results", ("--journal", EVENTS / "cyclocross.log")),
+    ("serve", ("--port", "0")),
+], ids=["run", "results", "serve"])
+def test_a_roster_field_past_the_csv_size_limit_is_a_roster_error(tmp_path, capsys, command, source):
+    roster = tmp_path / "roster.csv"
+    roster.write_text("id,rfid,last_name,first_name,gender,category\n"
+                      "1,CC001,Novak,Ana,female,1\n2,CC002," + "x" * 200_000 + ",Ivo,male,1\n")
+    status = run_cli(command, PROGRAMS / "cyclocross.ez", "--runners", roster, *source,
+                     "--out", tmp_path / "out")
+    assert status == 2
+    assert capsys.readouterr().err == (
+        f"error: {roster}: line 3: field larger than field limit (131072)\n")
+
+
 def test_run_unknown_rank_variable(tmp_path, capsys):
     status = run_cli(
         "run", PROGRAMS / "cyclocross.ez",
@@ -257,6 +273,26 @@ def test_results_reexports_from_journal(tmp_path):
     assert status == 0
     assert (second / "results.csv").read_bytes() == (first / "results.csv").read_bytes()
     assert not (second / "journal.log").exists()
+
+
+def test_run_and_results_step_their_race_without_a_log(tmp_path, monkeypatch):
+    # the CLI steps the race it owns in place; only replay and apply_event log events
+    def no_log_entries(*args, **kwargs):
+        raise AssertionError("a LogEntry was built")
+
+    monkeypatch.setattr("easytime.runtime.LogEntry", no_log_entries)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli(
+        "run", PROGRAMS / "biathlon.ez",
+        "--runners", ROSTERS / "biathlon.csv",
+        "--events", EVENTS / "biathlon.log", "--rank", "RUN", "--out", first,
+    ) == 0
+    assert run_cli(
+        "results", PROGRAMS / "biathlon.ez",
+        "--runners", ROSTERS / "biathlon.csv",
+        "--journal", first / "journal.log", "--rank", "RUN", "--out", second,
+    ) == 0
+    assert (second / "results.csv").read_bytes() == (first / "results.csv").read_bytes()
 
 
 def bi001_penalty(results: Path) -> str:

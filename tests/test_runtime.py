@@ -25,6 +25,7 @@ from easytime.runtime import (
     replay,
     result_tables,
     run_statements,
+    step_events,
 )
 from easytime.semantics import StaticState, analyze, decl_sequence
 
@@ -432,26 +433,36 @@ def test_property_replay_is_a_fold_of_apply_event_and_leaves_its_input_unchanged
 
 def test_property_in_place_steps_equal_replay():
     # the law "live state equals a replay of the journal", for in-order arrival:
-    # serve folds each event through run_statements on the race it owns
+    # run, results and serve step the race they own in place, as step_events does
     rng = random.Random(1729)
     ghosts = skipped_decs = 0
     for _ in range(50):
         ast, state, roster, events = random_race(rng)
-        stmts_at = {place.mp_id: place.stmts for place in ast.places}
         live = init_race(state, roster)
         start = dict(live.per_runner)
-        warnings, fired = list(live.warnings), []
-        for event in events:
-            fired.append(run_statements(stmts_at[event.mp_id], live.per_runner, event, warnings))
+        warnings = list(live.warnings)
+        stepped = list(step_events(live, ast, events, warnings))
         replayed = replay(init_race(state, roster), ast, events)
         assert live.per_runner == replayed.per_runner
         assert tuple(warnings) == replayed.warnings
-        assert [f or () for f in fired] == [entry.fired for entry in replayed.log]
-        assert [f is not None for f in fired] == [entry.matched for entry in replayed.log]
+        assert [(event, fired or ()) for event, fired in stepped] == [
+            (entry.event, entry.fired) for entry in replayed.log]
+        assert [fired is not None for _, fired in stepped] == [entry.matched for entry in replayed.log]
         # the step replaced entries and wrote to none of the shared starting dicts
         assert start == init_race(state, roster).per_runner
         ghosts += sum(not entry.matched for entry in replayed.log)
         skipped_decs += len(warnings) - len(live.warnings)
+
+        # a missing place stops the steps at its event's index, the events before it stepped
+        at = rng.randint(0, len(events))
+        stray = Event(10, rng.choice(roster).rfid, 0)  # random programs use mp ids 1-9
+        live = init_race(state, roster)
+        with pytest.raises(UnknownMeasuringPlaceError) as err:
+            for _ in step_events(live, ast, events[:at] + [stray] + events[at:], []):
+                pass
+        assert (err.value.mp_id, err.value.index) == (10, at)
+        assert str(err.value) == f"event {at}: no measuring place 10 in program"
+        assert live.per_runner == replay(init_race(state, roster), ast, events[:at]).per_runner
     assert ghosts and skipped_decs  # both branches were exercised
 
 

@@ -16,25 +16,23 @@ ROSTER = str(FIXTURES / "rosters" / "biathlon.csv")
 EVENTS = str(FIXTURES / "events" / "biathlon.log")
 
 # records are named tuples, not dataclasses (which bring inspect); the listener's
-# modules load only when serve starts listening
-NOT_FOR_CLI = ("dataclasses", "inspect", "logging", "socket", "selectors", "threading")
-# only write_results loads pathlib, so `check`, which writes no file, goes without
-NOT_FOR_CHECK = NOT_FOR_CLI + ("pathlib",)
+# modules load only when serve starts listening; results are written with os.path
+NOT_LOADED = ("dataclasses", "inspect", "logging", "pathlib", "socket", "selectors", "threading")
 
 
-@pytest.mark.parametrize("snippet, absent", [
-    ("import easytime; easytime.easytime_pp()", NOT_FOR_CHECK),
-    ("import easytime.cli", NOT_FOR_CHECK),
-    ("from easytime.cli import main\n"
-     f"assert main(['check', {PROGRAM!r}]) == 0", NOT_FOR_CHECK),
-    ("from easytime.cli import main\n"
-     f"assert main(['check', {PROGRAM!r}]) == 0\n"
-     f"assert main(['run', {PROGRAM!r}, '--runners', {ROSTER!r}, '--events', {EVENTS!r},"
-     " '--out', OUT]) == 0", NOT_FOR_CLI),
+@pytest.mark.parametrize("snippet", [
+    "import easytime; easytime.easytime_pp()",
+    "import easytime.cli",
+    "from easytime.cli import main\n"
+    f"assert main(['check', {PROGRAM!r}]) == 0",
+    "from easytime.cli import main\n"
+    f"assert main(['check', {PROGRAM!r}]) == 0\n"
+    f"assert main(['run', {PROGRAM!r}, '--runners', {ROSTER!r}, '--events', {EVENTS!r},"
+    " '--out', OUT]) == 0",
 ], ids=["easytime", "easytime.cli", "check", "check-and-run"])
-def test_start_up_loads_no_module_it_does_not_use(tmp_path, snippet, absent):
+def test_start_up_loads_no_module_it_does_not_use(tmp_path, snippet):
     code = (f"OUT = {str(tmp_path)!r}\n{snippet}\n"
-            f"import sys\nprint(*(name for name in {absent!r} if name in sys.modules))")
+            f"import sys\nprint(*(name for name in {NOT_LOADED!r} if name in sys.modules))")
     # -S keeps site's own imports out; -c puts the working directory first on sys.path
     res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          cwd=SRC, timeout=60)
