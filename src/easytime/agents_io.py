@@ -45,6 +45,17 @@ def load_runners(path: str | os.PathLike) -> list[Runner]:
     genders = {gender: gender for gender in GENDERS}  # runners share one string per gender
     runners: list[Runner] = []
     with open(path, newline="", encoding="ascii") as handle:
+        # csv itself refuses a NUL byte only before Python 3.11; one scan of the text
+        # refuses it on every Python without a check per field.  The scan reads chunks:
+        # freeing one string the size of a large roster raises malloc's mmap threshold,
+        # and with it the run's peak RSS
+        line = 1
+        for chunk in iter(lambda: handle.read(1 << 16), ""):
+            if "\0" in chunk:
+                nul = chunk.index("\0")
+                raise MalformedRowError(line + chunk.count("\n", 0, nul), "line contains NUL")
+            line += chunk.count("\n")
+        handle.seek(0)
         reader = csv.reader(handle)
         try:
             if next(reader, None) != ROSTER_HEADER:
@@ -71,7 +82,7 @@ def load_runners(path: str | os.PathLike) -> list[Runner]:
                 if category < 0:
                     raise MalformedRowError(lineno, f"category must be >= 0, got {category}")
                 runners.append(Runner(runner_id, rfid, last_name, first_name, gender, category))
-        except csv.Error as exc:  # a field past the csv module's size limit; on 3.10, a NUL byte
+        except csv.Error as exc:  # a field past the csv module's size limit
             raise MalformedRowError(reader.line_num, str(exc)) from None
     return runners
 

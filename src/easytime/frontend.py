@@ -3,8 +3,8 @@
 ``tokenize`` applies a lexicon with maximal munch (longest match wins, ties
 broken by rule priority) and emits every character of the source as a token,
 including whitespace and comments, so the token stream reproduces the input
-exactly.  Each call works out from the parsed patterns which rules can start
-a match with each ASCII character, and a position tries only those; a rule
+exactly.  It works out from the parsed patterns which rules can start a
+match with each ASCII character, and a position tries only those; a rule
 the analysis cannot bound is tried everywhere.  ``parse`` is one
 table-driven loop with single-token lookahead that pulls its tokens one at a
 time; ``parse_source`` feeds it the scan as it goes, so a compile holds the
@@ -14,6 +14,11 @@ trie per nonterminal; alternatives sharing a prefix share a trie path until
 the lookahead separates them, and end of input is one more token kind.  An
 explicit stack replaces recursion, so how deeply a program nests is bounded
 by memory and not by the recursion limit.
+Both tables depend only on the definition: the dispatch table on the
+lexicon's rules, the tries on the productions and the start symbol.  Each
+is built once per distinct content and kept for later compiles, so a
+definition edited in place, or a new one, gets fresh tables and equal
+definitions share them.  Nothing writes to a kept table.
 Semantic values are built bottom-up by handlers looked up per production
 action key, which is what makes an overridden rule group change the
 produced syntax tree.
@@ -21,6 +26,7 @@ produced syntax tree.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
@@ -100,6 +106,10 @@ except ImportError:  # Python 3.10
 _ASCII = range(128)
 _ASCII_TEXT = "".join(map(chr, _ASCII))  # each character at the index of its code
 
+# distinct lexicons, and distinct grammars, whose tables are kept; a process
+# compiles under one or two languages
+_TABLES_KEPT = 8
+
 
 def _firsts(items, state) -> tuple[set[int], bool]:
     """The codes a non-empty match of parsed ``items`` can start with, and whether
@@ -145,37 +155,41 @@ def _first_codes(pattern: str) -> range | set[int]:
     return {code for code in firsts if code in _ASCII}
 
 
-def _dispatch(lexicon) -> list[list[tuple]]:
+@functools.lru_cache(maxsize=_TABLES_KEPT)
+def _dispatch(lexicon: tuple[LexRule, ...]) -> tuple[tuple[tuple, ...], ...]:
     """Per ASCII code, ``(name, priority, match)`` of each rule, in lexicon order,
-    that can produce a non-empty match starting with that character."""
+    that can produce a non-empty match starting with that character.  Kept per
+    lexicon content and shared, so it is built of tuples."""
     table: list[list[tuple]] = [[] for _ in _ASCII]
     for rule in lexicon:
         entry = (rule.name, rule.priority, re.compile(rule.pattern).match)
         for code in _first_codes(rule.pattern):
             table[code].append(entry)
-    return table
+    return tuple(map(tuple, table))
 
 
 def tokenize(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> list[Token]:
     """Split source into tokens; trivia (whitespace, comments) is included.
 
-    Each call builds a table from the first character to the lexicon rules
-    that can start a non-empty match with it, worked out from each parsed
-    pattern.  A position tries only its character's rules, in lexicon order,
-    and keeps the longest match, then the lower priority, then the earlier
-    rule.  A rule whose pattern uses a construct the analysis does not bound
-    (a lookaround, a group reference, an inline flag) is tried at every
-    position, so the table never changes the tokens.  Returns every token in
-    one list; ``parse`` also takes them as a stream, which ``parse_source``
-    uses.
+    A table maps the first character to the lexicon rules that can start a
+    non-empty match with it, worked out from each parsed pattern.  It is
+    built once per lexicon content, a list or a tuple of the same rules
+    alike, and never written, so later calls reuse it.  A position tries
+    only its character's rules, in lexicon order, and keeps the longest
+    match, then the lower priority, then the earlier rule.  A rule whose
+    pattern uses a construct the analysis does not bound (a lookaround, a
+    group reference, an inline flag) is tried at every position, so the
+    table never changes the tokens.  Returns every token in one list;
+    ``parse`` also takes them as a stream, which ``parse_source`` uses.
     """
     return list(_scan(source, lexicon))
 
 
 def _scan(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> Iterator[Token]:
     """The tokens of ``tokenize``, one per ``next``.  The first ``next`` checks
-    that the source is ASCII and builds the table, and a character no rule
-    matches raises ``LexError`` when the scan reaches it."""
+    that the source is ASCII and looks up the table, building it for a new
+    lexicon, and a character no rule matches raises ``LexError`` when the
+    scan reaches it."""
     if not source.isascii():
         line, column = 1, 1
         for ch in source:
@@ -185,7 +199,7 @@ def _scan(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> Iterator
                 line, column = line + 1, 1
             else:
                 column += 1
-    table = _dispatch(lexicon)
+    table = _dispatch(tuple(lexicon))  # a list lexicon may be edited between calls
 
     new_tuple = tuple.__new__  # skips Token's Python-level __new__
     pos, line, line_start = 0, 1, 0
@@ -230,9 +244,10 @@ class _Node:
     ``next`` maps each symbol that can follow the prefix to its child node and
     whether the symbol is a nonterminal.  ``by_text`` and ``by_kind`` map a
     lookahead token's text and kind to the next symbols they select, so a
-    token is looked up without building its selectors.  ``complete`` is the
-    first production that ends here and ``expected`` describes every
-    selector, for the error message.
+    token is looked up without building its selectors; their symbol sets are
+    frozen, because every parse under equal productions shares the trie.
+    ``complete`` is the first production that ends here and ``expected``
+    describes every selector, for the error message.
     """
 
     __slots__ = ("next", "by_text", "by_kind", "complete", "expected")
@@ -252,17 +267,21 @@ class _Node:
         for p in longer:
             for selector in predict_selectors(p.rhs[depth:], nt):
                 predict.setdefault(selector, set()).add(p.rhs[depth])
-        self.by_text = {key: symbols for (kind, key), symbols in predict.items() if kind == "lit"}
-        self.by_kind = {key: symbols for (kind, key), symbols in predict.items() if kind == "kind"}
+        self.by_text = {key: frozenset(symbols)
+                        for (kind, key), symbols in predict.items() if kind == "lit"}
+        self.by_kind = {key: frozenset(symbols)
+                        for (kind, key), symbols in predict.items() if kind == "kind"}
         self.expected = tuple(sorted(map(_describe_selector, predict)))
 
 
-def _tries(lang: LanguageDef) -> dict[str, _Node]:
-    """The prediction trie of each nonterminal, from FIRST/FOLLOW over the productions."""
+@functools.lru_cache(maxsize=_TABLES_KEPT)
+def _tries(grammar: tuple[tuple, ...], start_symbol: str) -> dict[str, _Node]:
+    """The prediction trie of each nonterminal, from FIRST/FOLLOW over ``grammar``, the
+    productions as ``(lhs, rhs, action_key)`` tuples in group order.  Kept per content
+    and shared, so nothing may write to it."""
     productions: dict[str, list[Production]] = {}
-    for group in lang.rule_groups.values():
-        for production in group.productions:
-            productions.setdefault(production.lhs, []).append(production)
+    for production in map(Production._make, grammar):
+        productions.setdefault(production.lhs, []).append(production)
     nullable: set[str] = set()
     first: dict[str, set[tuple]] = {nt: set() for nt in productions}
     follow: dict[str, set[tuple]] = {nt: set() for nt in productions}
@@ -292,8 +311,8 @@ def _tries(lang: LanguageDef) -> dict[str, _Node]:
                 if empty and nt not in nullable:
                     nullable.add(nt)
                     changed = True
-    if lang.start_symbol in follow:
-        follow[lang.start_symbol].add(("kind", EOF_KIND))
+    if start_symbol in follow:
+        follow[start_symbol].add(("kind", EOF_KIND))
     changed = True
     while changed:
         changed = False
@@ -337,9 +356,10 @@ def parse(tokens: Iterable[Token], lang: LanguageDef) -> ProgramAst:
 
     One loop over an explicit stack with a frame per open nonterminal, so
     nesting is bounded by memory and not by the recursion limit.  Each frame
-    walks its nonterminal's prediction trie, which ``_tries`` builds per call
-    from the definition: a token either selects the one next symbol, or ends
-    the frame's production, or is an error.
+    walks its nonterminal's prediction trie, which ``_tries`` builds once per
+    content of the definition's productions and start symbol and no parse
+    writes to: a token either selects the one next symbol, or ends the
+    frame's production, or is an error.
     """
     stream = iter(tokens)
     try:
@@ -351,7 +371,13 @@ def parse(tokens: Iterable[Token], lang: LanguageDef) -> ProgramAst:
 
 
 def _parse(stream: Iterator[Token], lang: LanguageDef) -> ProgramAst:
-    tries = _tries(lang)
+    # keyed on content, not on the definition's identity: rule_groups may be edited in place
+    grammar = tuple(
+        (p.lhs, tuple(p.rhs), p.action_key)
+        for group in lang.rule_groups.values()
+        for p in group.productions
+    )
+    tries = _tries(grammar, lang.start_symbol)
     token = next((t for t in stream if t.kind not in TRIVIA), Token(EOF_KIND, "", 1, 1))
     start = lang.start_symbol
     if start not in tries:

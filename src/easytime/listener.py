@@ -97,7 +97,10 @@ class AutoAgentListener:
 
     def _handle(self, raw: bytearray) -> str:
         try:
-            self._sink(parse_event_line(raw.decode("ascii", errors="replace")))
+            event = parse_event_line(raw.decode("ascii", errors="replace"))
+            if not raw.isascii():  # it parsed, but a field holds U+FFFD, and journals are ASCII
+                raise MalformedEventError("line must be ASCII")
+            self._sink(event)
         except MalformedEventError as exc:  # a line that does not parse, or a refused event
             return f"ERR {exc.reason}\n"
         except Exception as exc:

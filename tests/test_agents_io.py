@@ -304,6 +304,21 @@ def test_listener_answers_non_ascii_line_and_keeps_connection():
         sock.close()
 
 
+def test_listener_refuses_a_non_ascii_field_before_the_sink(caplog):
+    # the field parses with U+FFFD in it; a journal, ASCII by contract, would fail to hold it
+    sink = Collector()
+    with listen_auto(0, sink) as listener:
+        sock, chat = connect(listener.port)
+        sock.sendall(b"1,BI001\xe9,5000\n")
+        assert chat.readline().strip() == "ERR line must be ASCII"
+        chat.write("1,BI001,5000\n")
+        chat.flush()
+        assert chat.readline().strip() == "OK"
+        sock.close()
+    assert sink.events == [Event(1, "BI001", 5000)]
+    assert not [record for record in caplog.records if record.levelname == "ERROR"]
+
+
 def test_listener_replies_err_when_sink_raises_and_keeps_connection():
     seen: list[Event] = []
 

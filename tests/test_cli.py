@@ -178,6 +178,21 @@ def test_a_roster_field_past_the_csv_size_limit_is_a_roster_error(tmp_path, caps
         f"error: {roster}: line 3: field larger than field limit (131072)\n")
 
 
+@pytest.mark.parametrize("rows_before", [0, 5000], ids=["first-row", "past-64k"])
+def test_a_nul_byte_in_a_roster_field_is_a_roster_error(tmp_path, capsys, rows_before):
+    # the csv module refuses a NUL byte itself only before Python 3.11
+    roster = tmp_path / "roster.csv"
+    rows = "".join(f"{i},T{i},A,B,female,1\n" for i in range(2, rows_before + 2))
+    roster.write_text("id,rfid,last_name,first_name,gender,category\n" + rows
+                      + "1,T1,A\x00,B,female,1\n", encoding="ascii")
+    status = run_cli("run", PROGRAMS / "cyclocross.ez", "--runners", roster,
+                     "--events", EVENTS / "cyclocross.log", "--out", tmp_path / "out")
+    assert status == 2
+    assert capsys.readouterr().err == (
+        f"error: {roster}: line {rows_before + 2}: line contains NUL\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_unknown_rank_variable(tmp_path, capsys):
     status = run_cli(
         "run", PROGRAMS / "cyclocross.ez",

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from conftest import peak_bytes, program_source, random_program
+from easytime import frontend
 from easytime.diagnostics import ERROR, Diagnostic
 from easytime.frontend import (
     AgentDecl,
@@ -201,17 +202,23 @@ def lex_outcome(tokenizer, source: str, lexicon) -> tuple:
 
 
 def test_tokenize_equals_trying_every_rule_at_every_position():
+    # each lexicon is a list, and halfway through one of its rules is replaced in place:
+    # tokenize must follow the edit, and a tuple of the same rules must tokenize alike
     rng = random.Random(9)
     for _ in range(250):
         patterns = rng.sample(PATTERN_POOL, rng.randint(2, 7))
         lexicon = [LexRule(f"R{i}", p, rng.randint(0, 2)) for i, p in enumerate(patterns)]
-        for _ in range(8):
+        for k in range(8):
+            if k == 4:
+                i = rng.randrange(len(lexicon))
+                lexicon[i] = lexicon[i]._replace(pattern=rng.choice(PATTERN_POOL))
             source = "".join(
                 rng.choice(ALPHABET) if rng.random() < 0.9 else chr(rng.randrange(128))
                 for _ in range(rng.randint(0, 30))
             )
             expected = lex_outcome(brute_force_tokenize, source, lexicon)
-            assert lex_outcome(tokenize, source, lexicon) == expected, (patterns, source)
+            assert lex_outcome(tokenize, source, lexicon) == expected, (lexicon, source)
+            assert lex_outcome(tokenize, source, tuple(lexicon)) == expected, (lexicon, source)
 
 
 def test_parse_ironman_shape():
@@ -306,6 +313,64 @@ def test_start_symbol_without_productions_reported():
     with pytest.raises(ParseError) as err:
         parse_source(" x", LanguageDef("tiny", WORDS, groups, "S"))
     assert str(err.value) == "1:2: nonterminal S has no productions"
+
+
+def test_tables_are_built_once_per_language(monkeypatch):
+    built = {"rules": 0, "nodes": 0}
+    first_codes = frontend._first_codes
+
+    def counted_first_codes(pattern):
+        built["rules"] += 1
+        return first_codes(pattern)
+
+    class CountedNode(frontend._Node):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built["nodes"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(frontend, "_first_codes", counted_first_codes)
+    monkeypatch.setattr(frontend, "_Node", CountedNode)
+    frontend._dispatch.cache_clear()
+    frontend._tries.cache_clear()
+    sources = [program_source(name) for name in ("ironman", "decls", "cyclocross", "biathlon")]
+    lang = easytime_pp()
+    parse_source(sources[0], lang)
+    once = dict(built)
+    assert once["rules"] == len(lang.lexicon) and once["nodes"] > 0
+    for lang in (lang, easytime_pp()):  # equal definitions share tables
+        for source in sources:
+            parse_source(source, lang)
+            parse(tokenize(source, lang.lexicon), lang)
+    assert built == once
+    frontend._dispatch.cache_clear()  # drop the counted nodes
+    frontend._tries.cache_clear()
+
+
+def test_a_definition_changed_after_a_parse_gets_fresh_tables():
+    words = [LexRule("Whitespace", r"\s+", 0), LexRule("Word", r"[a-z]+", 10)]
+    groups = {"S": RuleGroup("S", (
+        prod("S", "#Word", "pred_true"),
+        # a nullable T parses empty input only when T is the start symbol
+        prod("T", "OPT", "pred_true"),
+        prod("OPT", "#Word", "pred_true"),
+        prod("OPT", "", "pred_true"),
+    ))}
+    tiny = LanguageDef("tiny", words, groups, "S")
+    assert parse_source("ab", tiny) == Predicate("true")
+    with pytest.raises(LexError):
+        parse_source("a1", tiny)
+    assert parse_error("", tiny)[2] == "in S: expected Word, got end of input"
+
+    assert parse_source("", tiny._replace(start_symbol="T")) == Predicate("true")
+
+    words[1] = LexRule("Word", r"[a-z0-9]+", 10)  # a list lexicon edited in place
+    assert parse_source("a1", tiny) == Predicate("true")
+
+    groups["S"] = RuleGroup("S", (prod("S", "#Word #Word", "pred_true"),))  # and the groups
+    assert parse_source("a b", tiny) == Predicate("true")
+    assert parse_error("ab", tiny)[2] == "in S: expected Word, got end of input"
 
 
 def test_trailing_tokens_rejected():
@@ -474,14 +539,17 @@ def mutations(rng: random.Random, source: str) -> list[str]:
 @pytest.mark.parametrize("lang", [easytime_base(), easytime_pp()], ids=lambda lang: lang.name)
 def test_streamed_parse_equals_parse_of_the_token_list(lang):
     rng = random.Random(2024)
-    kinds = set()
-    for _ in range(30):
-        for source in mutations(rng, pretty(random_program(rng))):
-            streamed = outcome(lambda: parse_source(source, lang))
-            listed = outcome(lambda: parse(tokenize(source, lang.lexicon), lang))
-            assert streamed == listed, source
-            kinds.add(streamed[0])
-    assert kinds == {"tree", "LexError", "ParseError"}
+    sources = [source for _ in range(30) for source in mutations(rng, pretty(random_program(rng)))]
+    cold = []
+    for source in sources:  # each parse builds its tables
+        frontend._dispatch.cache_clear()
+        frontend._tries.cache_clear()
+        cold.append(outcome(lambda: parse_source(source, lang)))
+    for source, streamed in zip(sources, cold):  # one more pass, under the kept tables
+        assert outcome(lambda: parse_source(source, lang)) == streamed, source
+        listed = outcome(lambda: parse(tokenize(source, lang.lexicon), lang))
+        assert streamed == listed, source
+    assert {streamed[0] for streamed in cold} == {"tree", "LexError", "ParseError"}
 
 
 def test_a_streamed_compile_holds_the_tree_not_every_token():
