@@ -1,12 +1,13 @@
 """Event sources and persistence.
 
 Manual agents and replay logs are files of event lines; automatic agents
-push the same lines over TCP.  One line is ``mp,rfid,timestamp_ms[,payload]``.
-``read_journal`` reads a file of them as ``read_event_log`` does, less a torn
-last line.  Rosters and results are CSV.  The TCP listener lives in
-``listener``, which ``listen_auto`` imports when it is called, so only
-``serve`` loads the socket and thread modules.  It may serve many connections
-on one thread and hands events to its sink one at a time, in arrival order.
+push the same lines over TCP.  ``parse_event_line`` is the one rule for a line
+``mp,rfid,timestamp_ms[,payload]`` on every transport.  ``read_journal`` reads
+a file of them as ``read_event_log`` does, less a torn last line.  Rosters and
+results are CSV.  The TCP listener lives in ``listener``, which ``listen_auto``
+imports when it is called, so only ``serve`` loads the socket and thread
+modules.  It may serve many connections on one thread and hands events to its
+sink one at a time, in arrival order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import contextlib
 import csv
 import io
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .runtime import GENDERS, Event, ResultTable, Runner
 
@@ -41,22 +42,13 @@ class MalformedEventError(Exception):
 
 
 def load_runners(path: str | os.PathLike) -> list[Runner]:
-    """Read and validate a roster CSV; ``init_race`` checks ids and rfids are unique."""
+    """Read and validate a roster CSV, refusing a line with a NUL or a non-ASCII byte
+    as csv reads it; ``init_race`` checks ids and rfids are unique."""
     genders = {gender: gender for gender in GENDERS}  # runners share one string per gender
     runners: list[Runner] = []
-    with open(path, newline="", encoding="ascii") as handle:
-        # csv itself refuses a NUL byte only before Python 3.11; one scan of the text
-        # refuses it on every Python without a check per field.  The scan reads chunks:
-        # freeing one string the size of a large roster raises malloc's mmap threshold,
-        # and with it the run's peak RSS
-        line = 1
-        for chunk in iter(lambda: handle.read(1 << 16), ""):
-            if "\0" in chunk:
-                nul = chunk.index("\0")
-                raise MalformedRowError(line + chunk.count("\n", 0, nul), "line contains NUL")
-            line += chunk.count("\n")
-        handle.seek(0)
-        reader = csv.reader(handle)
+    # latin-1 gives one character per byte, so a non-ASCII byte is seen on its line
+    with open(path, newline="", encoding="latin-1") as handle:
+        reader = csv.reader(_ascii_lines(handle))
         try:
             if next(reader, None) != ROSTER_HEADER:
                 raise MalformedRowError(1, f"header must be {','.join(ROSTER_HEADER)}")
@@ -70,7 +62,7 @@ def load_runners(path: str | os.PathLike) -> list[Runner]:
                     runner_id = int(raw_id)
                 except ValueError:
                     raise MalformedRowError(lineno, f"id {raw_id!r} is not an integer") from None
-                if not rfid:
+                if not (rfid := rfid.strip()):  # stripped as an event line's rfid is
                     raise MalformedRowError(lineno, "empty rfid")
                 if (gender := genders.get(raw_gender)) is None:
                     raise MalformedRowError(
@@ -87,9 +79,26 @@ def load_runners(path: str | os.PathLike) -> list[Runner]:
     return runners
 
 
-def parse_event_line(line: str) -> Event:
-    """Parse one ``mp,rfid,timestamp_ms[,payload]`` line."""
-    fields = [f.strip() for f in line.strip().split(",")]
+def _ascii_lines(lines: Iterable[str]) -> Iterator[str]:
+    """``lines``, refusing one with a NUL (which csv refuses only before Python 3.11)
+    or a non-ASCII character."""
+    for lineno, line in enumerate(lines, start=1):
+        if "\0" in line:
+            raise MalformedRowError(lineno, "line contains NUL")
+        if not line.isascii():
+            raise MalformedRowError(lineno, "line must be ASCII")
+        yield line
+
+
+def parse_event_line(line: str) -> Event | None:
+    """The event of one ``mp,rfid,timestamp_ms[,payload]`` line, fields stripped, or
+    None for a blank or ``#`` line.  Files, journals and the wire read a byte as one
+    character, and a line holding a non-ASCII one is refused, comment or not."""
+    if not line.isascii():
+        raise MalformedEventError("line must be ASCII")
+    if not (line := line.strip()) or line.startswith("#"):
+        return None
+    fields = [f.strip() for f in line.split(",")]
     if len(fields) == 1:
         raise MalformedEventError("missing rfid")
     if len(fields) == 2:
@@ -130,12 +139,10 @@ def format_event(event: Event) -> str:
 def _parse_events(data: bytes) -> list[Event]:
     """The events of ``data``'s lines, split as in text mode, sorted by timestamp."""
     events: list[Event] = []
-    for lineno, line in enumerate(io.StringIO(data.decode("ascii"), newline=None), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, line in enumerate(io.StringIO(data.decode("latin-1"), newline=None), start=1):
         try:
-            events.append(parse_event_line(stripped))
+            if (event := parse_event_line(line)) is not None:
+                events.append(event)
         except MalformedEventError as exc:
             raise MalformedEventError(exc.reason, line=lineno) from None
     events.sort(key=lambda e: e.timestamp_ms)  # sort() is stable

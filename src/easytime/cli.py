@@ -75,21 +75,19 @@ def _read_source(path: str) -> str:
         return handle.read()
 
 
-def _read(path, reader, kind: str):
+def _read(path, reader):
     """``reader(path)``; file and data errors become exit-2 failures naming ``path``."""
     try:
         return reader(path)
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot read {path}: {exc.strerror}")
-    except UnicodeDecodeError:
-        raise _Failure(EXIT_IO, f"{path}: {kind} must be ASCII")
     except (MalformedRowError, MalformedEventError, DuplicateRfidError, DuplicateRunnerIdError) as exc:
         raise _Failure(EXIT_IO, f"{path}: {exc}")
 
 
 def _compile(path: str, dialect: str):
     """Parse and analyze, printing diagnostics; returns (ast, state)."""
-    source = _read(path, _read_source, "program")
+    source = _read(path, _read_source)
     try:
         ast = parse_source(source, _language(dialect))
     except (LexError, ParseError) as exc:
@@ -124,7 +122,7 @@ def _start(args, event_paths, read_events=read_event_log):
     """Compile, load the roster, check ``--rank``, step the events of ``read_events(path)``
     for each path, by timestamp; returns the program, the race and the events stepped."""
     ast, state = _compile(args.program, args.dialect)
-    race = _read(args.runners, lambda path: init_race(state, load_runners(path)), "roster")
+    race = _read(args.runners, lambda path: init_race(state, load_runners(path)))
     try:
         check_rank_var(race.var_names, args.rank)
     except UnknownVariableError as exc:
@@ -132,7 +130,7 @@ def _start(args, event_paths, read_events=read_event_log):
 
     events = []
     for path in event_paths:
-        events.extend(_read(path, read_events, "event log"))
+        events.extend(_read(path, read_events))
     events.sort(key=lambda e: e.timestamp_ms)
 
     # one write: a large roster can warn thousands of times, and stderr is line-buffered

@@ -191,14 +191,10 @@ def _scan(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> Iterator
     lexicon, and a character no rule matches raises ``LexError`` when the
     scan reaches it."""
     if not source.isascii():
-        line, column = 1, 1
-        for ch in source:
-            if not ch.isascii():
-                raise LexError(line, column, f"non-ASCII character {ch!r}")
-            if ch == "\n":
-                line, column = line + 1, 1
-            else:
-                column += 1
+        pos = next(i for i, ch in enumerate(source) if not ch.isascii())
+        line_start = source.rfind("\n", 0, pos) + 1
+        raise LexError(source.count("\n", 0, pos) + 1, pos - line_start + 1,
+                       f"non-ASCII character {source[pos]!r}")
     table = _dispatch(tuple(lexicon))  # a list lexicon may be edited between calls
 
     new_tuple = tuple.__new__  # skips Token's Python-level __new__
@@ -224,18 +220,14 @@ def _scan(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> Iterator
 
 
 # --- Prediction tables ------------------------------------------------
-# Terminal selectors are ("lit", text) for literals and ("kind", name) for
-# lexical references and for end of input, the kind of the EOF token, so a
-# token is looked up by its text and its kind alone.
+# Lookahead sets hold terminals as the grammar spells them: a literal such as
+# ``var`` matches a token's text, ``#Identifier`` a token's kind, and ``#EOF``
+# end of input, the kind of the EOF token.
 
-def _selector(symbol: str) -> tuple:
-    return ("kind", symbol[1:]) if symbol.startswith("#") else ("lit", symbol)
-
-
-def _describe_selector(selector: tuple) -> str:
-    if selector[0] == "lit":
-        return repr(selector[1])
-    return "end of input" if selector[1] == EOF_KIND else selector[1]
+def _describe_terminal(symbol: str) -> str:
+    if not symbol.startswith("#"):
+        return repr(symbol)
+    return "end of input" if symbol[1:] == EOF_KIND else symbol[1:]
 
 
 class _Node:
@@ -243,35 +235,32 @@ class _Node:
 
     ``next`` maps each symbol that can follow the prefix to its child node and
     whether the symbol is a nonterminal.  ``by_text`` and ``by_kind`` map a
-    lookahead token's text and kind to the next symbols they select, so a
-    token is looked up without building its selectors; their symbol sets are
-    frozen, because every parse under equal productions shares the trie.
-    ``complete`` is the first production that ends here and ``expected``
-    describes every selector, for the error message.
+    lookahead token's text and kind to the next symbols they select, split from
+    the lookahead terminals on the ``#`` prefix; their symbol sets are frozen,
+    because every parse under equal productions shares the trie.  ``complete``
+    is the first production that ends here and ``expected`` describes every
+    lookahead terminal, for the error message.
     """
 
     __slots__ = ("next", "by_text", "by_kind", "complete", "expected")
 
-    def __init__(self, predict_selectors, nt: str, prods: list[Production], depth: int = 0):
+    def __init__(self, predict, nt: str, prods: list[Production], depth: int = 0):
         self.complete = next((p for p in prods if len(p.rhs) == depth), None)
         longer = [p for p in prods if len(p.rhs) > depth]
         self.next = {
             symbol: (
-                _Node(predict_selectors, nt, [p for p in longer if p.rhs[depth] == symbol],
-                      depth + 1),
+                _Node(predict, nt, [p for p in longer if p.rhs[depth] == symbol], depth + 1),
                 symbol_kind(symbol) == "nonterminal",
             )
             for symbol in dict.fromkeys(p.rhs[depth] for p in longer)
         }
-        predict: dict[tuple, set[str]] = {}
+        selects: dict[str, set[str]] = {}
         for p in longer:
-            for selector in predict_selectors(p.rhs[depth:], nt):
-                predict.setdefault(selector, set()).add(p.rhs[depth])
-        self.by_text = {key: frozenset(symbols)
-                        for (kind, key), symbols in predict.items() if kind == "lit"}
-        self.by_kind = {key: frozenset(symbols)
-                        for (kind, key), symbols in predict.items() if kind == "kind"}
-        self.expected = tuple(sorted(map(_describe_selector, predict)))
+            for terminal in predict(p.rhs[depth:], nt):
+                selects.setdefault(terminal, set()).add(p.rhs[depth])
+        self.by_text = {t: frozenset(s) for t, s in selects.items() if not t.startswith("#")}
+        self.by_kind = {t[1:]: frozenset(s) for t, s in selects.items() if t.startswith("#")}
+        self.expected = tuple(sorted(map(_describe_terminal, selects)))
 
 
 @functools.lru_cache(maxsize=_TABLES_KEPT)
@@ -283,19 +272,19 @@ def _tries(grammar: tuple[tuple, ...], start_symbol: str) -> dict[str, _Node]:
     for production in map(Production._make, grammar):
         productions.setdefault(production.lhs, []).append(production)
     nullable: set[str] = set()
-    first: dict[str, set[tuple]] = {nt: set() for nt in productions}
-    follow: dict[str, set[tuple]] = {nt: set() for nt in productions}
+    first: dict[str, set[str]] = {nt: set() for nt in productions}
+    follow: dict[str, set[str]] = {nt: set() for nt in productions}
 
-    def seq_first(symbols: tuple[str, ...]) -> tuple[set[tuple], bool]:
-        """FIRST selectors of a symbol sequence and whether it derives epsilon."""
-        firsts: set[tuple] = set()
+    def seq_first(symbols: tuple[str, ...]) -> tuple[set[str], bool]:
+        """FIRST terminals of a symbol sequence and whether it derives epsilon."""
+        firsts: set[str] = set()
         for symbol in symbols:
             if symbol_kind(symbol) == "nonterminal":
                 firsts |= first.get(symbol, set())
                 if symbol not in nullable:
                     return firsts, False
             else:
-                firsts.add(_selector(symbol))
+                firsts.add(symbol)
                 return firsts, False
         return firsts, True
 
@@ -312,7 +301,7 @@ def _tries(grammar: tuple[tuple, ...], start_symbol: str) -> dict[str, _Node]:
                     nullable.add(nt)
                     changed = True
     if start_symbol in follow:
-        follow[start_symbol].add(("kind", EOF_KIND))
+        follow[start_symbol].add("#" + EOF_KIND)
     changed = True
     while changed:
         changed = False
@@ -327,11 +316,11 @@ def _tries(grammar: tuple[tuple, ...], start_symbol: str) -> dict[str, _Node]:
                         follow[symbol] |= add
                         changed = True
 
-    def predict_selectors(suffix: tuple[str, ...], lhs: str) -> set[tuple]:
+    def predict(suffix: tuple[str, ...], lhs: str) -> set[str]:
         firsts, empty = seq_first(suffix)
         return firsts | follow.get(lhs, set()) if empty else firsts
 
-    return {nt: _Node(predict_selectors, nt, prods) for nt, prods in productions.items()}
+    return {nt: _Node(predict, nt, prods) for nt, prods in productions.items()}
 
 
 # --- Parser -----------------------------------------------------------

@@ -17,12 +17,14 @@ class AutoAgentListener:
     """TCP line-protocol server standing in for automatic measuring devices.
 
     One thread runs a selector loop over all connections and calls the sink
-    in arrival order.  A line is answered ``OK`` after the sink returns, or
-    ``ERR <reason>`` if it is malformed or the sink raises; the connection
-    stays open.  A sink refuses an event by raising ``MalformedEventError``;
-    other exceptions are logged too.  A client whose unterminated line exceeds
-    ``MAX_LINE_BYTES``, or who leaves replies unread until the kernel takes no
-    more, is cut off.  Out of descriptors, new clients wait until one closes.
+    in arrival order.  Lines are read by ``parse_event_line``, as in event
+    files: a blank or ``#`` line gets no reply, and any other is answered
+    ``OK`` after the sink returns, or ``ERR <reason>`` if it is malformed or
+    the sink raises; the connection stays open.  A sink refuses an event by
+    raising ``MalformedEventError``; other exceptions are logged too.  A client
+    whose unterminated line exceeds ``MAX_LINE_BYTES``, or who leaves replies
+    unread until the kernel takes no more, is cut off.  Out of descriptors, new
+    clients wait until one closes.
     """
 
     def __init__(self, port: int, sink):
@@ -82,7 +84,7 @@ class AutoAgentListener:
             chunk = b""
         buffer += chunk
         end = buffer.rfind(b"\n") + 1
-        out = "".join(self._handle(raw) for raw in buffer[:end].split(b"\n") if raw.strip())
+        out = "".join(map(self._handle, buffer[:end].split(b"\n")))
         del buffer[:end]
         try:
             # never wait on a client that leaves its replies unread: drop it
@@ -97,9 +99,8 @@ class AutoAgentListener:
 
     def _handle(self, raw: bytearray) -> str:
         try:
-            event = parse_event_line(raw.decode("ascii", errors="replace"))
-            if not raw.isascii():  # it parsed, but a field holds U+FFFD, and journals are ASCII
-                raise MalformedEventError("line must be ASCII")
+            if (event := parse_event_line(raw.decode("latin-1"))) is None:
+                return ""  # a blank or comment line
             self._sink(event)
         except MalformedEventError as exc:  # a line that does not parse, or a refused event
             return f"ERR {exc.reason}\n"

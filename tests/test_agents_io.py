@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import os
 import random
@@ -96,6 +97,28 @@ def test_load_runners_rejects_wrong_field_count(tmp_path):
     assert err.value.line == 2
 
 
+def test_load_runners_strips_the_rfid_as_event_lines_do(tmp_path):
+    path = write_roster(tmp_path, "1, TAG001 ,Novak,Ana,female,1\n")
+    assert load_runners(path) == [Runner(1, "TAG001", "Novak", "Ana", "female", 1)]
+    with pytest.raises(MalformedRowError) as err:
+        load_runners(write_roster(tmp_path, "1, \t ,Novak,Ana,female,1\n"))
+    assert str(err.value) == "line 2: empty rfid"
+
+
+@pytest.mark.parametrize("data, line, reason", [
+    (b"id,rfid,last_name,first_name,gender,category\r\n1,TAG001,Novak,Ana,female,1\r\n"
+     b"2,TAG002,Horv\xc3\xa1t,Ivo,male,1\r\n", 3, "line must be ASCII"),
+    (b"id,rfid,last_name,first_name,gender,category\n\n1,TAG001,A\0,B,female,1\n\xff\n",
+     3, "line contains NUL"),
+], ids=["field-crlf", "nul-after-blank"])
+def test_load_runners_refuses_a_line_with_a_nul_or_non_ascii_byte(tmp_path, data, line, reason):
+    path = tmp_path / "roster.csv"
+    path.write_bytes(data)
+    with pytest.raises(MalformedRowError) as err:
+        load_runners(path)
+    assert (err.value.line, err.value.reason) == (line, reason)
+
+
 @pytest.mark.parametrize("text, line", [
     ("id,rfid," + "x" * 200_000 + "\n", 1),
     ("id,rfid,last_name,first_name,gender,category\n1,TAG001,Novak,Ana,female,1\n"
@@ -180,10 +203,10 @@ def test_read_event_log_and_read_journal_split_lines_as_text_mode(tmp_path):
     assert read_event_log(path) == events
     assert read_journal(path) == (events, b"")
     path.write_bytes(b"1,A,5000\n\xc3\xa9\n")
-    with pytest.raises(UnicodeDecodeError):
-        read_event_log(path)
-    with pytest.raises(UnicodeDecodeError):
-        read_journal(path)
+    for read in (read_event_log, read_journal):
+        with pytest.raises(MalformedEventError) as err:
+            read(path)
+        assert str(err.value) == "line 2: line must be ASCII"
     path.write_bytes(b"1,A,5000\n\xc3\xa9")  # a torn tail is left out undecoded
     assert read_journal(path) == ([Event(1, "A", 5000)], b"\xc3\xa9")
 
@@ -216,33 +239,35 @@ class Collector:
         raise AssertionError(f"sink saw {len(self.events)} events, wanted {count}")
 
 
+@contextlib.contextmanager
 def connect(port: int):
-    sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
-    return sock, sock.makefile("rw", encoding="ascii", newline="\n")
+    """A client socket and a text file over it; both are closed on leaving, also when
+    an assertion fails, since a leaked socket fails a later test's warning filter."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        with sock.makefile("rw", encoding="ascii", newline="\n") as chat:
+            yield sock, chat
 
 
 def test_listener_acknowledges_and_delivers():
     sink = Collector()
     with listen_auto(0, sink) as listener:
-        sock, chat = connect(listener.port)
-        chat.write("3,TAG007,61000\n")
-        chat.flush()
-        assert chat.readline().strip() == "OK"
-        sock.close()
+        with connect(listener.port) as (sock, chat):
+            chat.write("3,TAG007,61000\n")
+            chat.flush()
+            assert chat.readline().strip() == "OK"
         assert sink.wait_for(1) == [Event(3, "TAG007", 61000)]
 
 
 def test_listener_rejects_malformed_line_and_keeps_connection():
     sink = Collector()
     with listen_auto(0, sink) as listener:
-        sock, chat = connect(listener.port)
-        chat.write("3,TAG007\n")
-        chat.flush()
-        assert chat.readline().strip() == "ERR missing timestamp"
-        chat.write("3,TAG007,61000\n")
-        chat.flush()
-        assert chat.readline().strip() == "OK"
-        sock.close()
+        with connect(listener.port) as (sock, chat):
+            chat.write("3,TAG007\n")
+            chat.flush()
+            assert chat.readline().strip() == "ERR missing timestamp"
+            chat.write("3,TAG007,61000\n")
+            chat.flush()
+            assert chat.readline().strip() == "OK"
         assert sink.wait_for(1) == [Event(3, "TAG007", 61000)]
     assert len(sink.events) == 1
 
@@ -252,15 +277,14 @@ def test_listener_interleaved_connections_deliver_everything():
     sent: list[Event] = []
     with listen_auto(0, sink) as listener:
         def client(tag: str, base: int):
-            sock, chat = connect(listener.port)
-            for i in range(100):
-                event = Event(1 + i % 4, tag, base + i)
-                with lock:
-                    sent.append(event)
-                chat.write(format_event(event) + "\n")
-                chat.flush()
-                assert chat.readline().strip() == "OK"
-            sock.close()
+            with connect(listener.port) as (sock, chat):
+                for i in range(100):
+                    event = Event(1 + i % 4, tag, base + i)
+                    with lock:
+                        sent.append(event)
+                    chat.write(format_event(event) + "\n")
+                    chat.flush()
+                    assert chat.readline().strip() == "OK"
 
         lock = threading.Lock()
         threads = [
@@ -295,28 +319,69 @@ def test_listener_closes_its_socket_when_bind_rejects_the_port():
 def test_listener_answers_non_ascii_line_and_keeps_connection():
     sink = Collector()
     with listen_auto(0, sink) as listener:
-        sock, chat = connect(listener.port)
-        sock.sendall(b"\xff,TAG007,1000\n")
-        assert chat.readline().strip() == "ERR mp '?' is not an integer"
-        chat.write("3,TAG007,61000\n")
-        chat.flush()
-        assert chat.readline().strip() == "OK"
-        sock.close()
+        with connect(listener.port) as (sock, chat):
+            sock.sendall(b"\xff,TAG007,1000\n")
+            assert chat.readline().strip() == "ERR line must be ASCII"
+            chat.write("3,TAG007,61000\n")
+            chat.flush()
+            assert chat.readline().strip() == "OK"
 
 
 def test_listener_refuses_a_non_ascii_field_before_the_sink(caplog):
-    # the field parses with U+FFFD in it; a journal, ASCII by contract, would fail to hold it
+    # the line would parse, but a journal, ASCII by contract, could not hold it
     sink = Collector()
     with listen_auto(0, sink) as listener:
-        sock, chat = connect(listener.port)
-        sock.sendall(b"1,BI001\xe9,5000\n")
-        assert chat.readline().strip() == "ERR line must be ASCII"
-        chat.write("1,BI001,5000\n")
-        chat.flush()
-        assert chat.readline().strip() == "OK"
-        sock.close()
+        with connect(listener.port) as (sock, chat):
+            sock.sendall(b"1,BI001\xe9,5000\n")
+            assert chat.readline().strip() == "ERR line must be ASCII"
+            chat.write("1,BI001,5000\n")
+            chat.flush()
+            assert chat.readline().strip() == "OK"
     assert sink.events == [Event(1, "BI001", 5000)]
     assert not [record for record in caplog.records if record.levelname == "ERROR"]
+
+
+def wire_replies(port: int, data: bytes) -> list[str]:
+    """The listener's replies to ``data``, sent on one connection that then stops sending."""
+    with connect(port) as (sock, chat):
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)  # the listener answers every whole line, then closes
+        return chat.read().splitlines()
+
+
+@pytest.mark.parametrize("line, meaning", [
+    (b"3,TAG007,61000\n", Event(3, "TAG007", 61000)),
+    (b" 3 , TAG007 , 61000 , 2 \r\n", Event(3, "TAG007", 61000, payload=2)),
+    (b"\n", None),
+    (b" \t\r\n", None),
+    (b"# 3,TAG007,61000\n", None),
+    (b"3,TAG007\n", "missing timestamp"),
+    (b"3,TAG\xc3\xa9,61000\n", "line must be ASCII"),
+    (b"\xff,TAG007,1000\n", "line must be ASCII"),
+    (b"# caf\xc3\xa9\n", "line must be ASCII"),
+    (b"\xa03,TAG007,61000\n", "line must be ASCII"),
+    (b"\x1c3,TAG007,61000\x1c\n", Event(3, "TAG007", 61000)),
+    (b"\x1c\n", None),
+], ids=["valid", "crlf-spaced-payload", "blank", "whitespace", "comment", "malformed",
+        "utf8-field", "latin1-field", "utf8-comment", "nbsp", "x1c-around", "x1c-only"])
+def test_a_line_means_the_same_in_a_file_and_on_the_wire(tmp_path, line, meaning):
+    # an Event is answered OK and reaches the sink, a reason is answered ERR, and a
+    # skipped line (None) gets no reply and reaches no sink
+    refused = isinstance(meaning, str)
+    events = [meaning] if meaning and not refused else []
+    replies = [f"ERR {meaning}"] if refused else ["OK"] * len(events)
+    path = tmp_path / "events.log"
+    path.write_bytes(line)
+    if refused:
+        with pytest.raises(MalformedEventError) as err:
+            read_event_log(path)
+        assert (err.value.line, err.value.reason) == (1, meaning)
+    else:
+        assert read_event_log(path) == events
+    sink = Collector()
+    with listen_auto(0, sink) as listener:
+        assert wire_replies(listener.port, line) == replies
+    assert sink.events == events
 
 
 def test_listener_replies_err_when_sink_raises_and_keeps_connection():
@@ -328,52 +393,44 @@ def test_listener_replies_err_when_sink_raises_and_keeps_connection():
         seen.append(event)
 
     with listen_auto(0, sink) as listener:
-        sock, chat = connect(listener.port)
-        chat.write("3,BAD,1000\n")
-        chat.flush()
-        assert chat.readline().strip() == "ERR no such runner"
-        chat.write("3,TAG007,61000\n")
-        chat.flush()
-        assert chat.readline().strip() == "OK"  # sent only after the sink returned
-        assert seen == [Event(3, "TAG007", 61000)]
-        sock.close()
+        with connect(listener.port) as (sock, chat):
+            chat.write("3,BAD,1000\n")
+            chat.flush()
+            assert chat.readline().strip() == "ERR no such runner"
+            chat.write("3,TAG007,61000\n")
+            chat.flush()
+            assert chat.readline().strip() == "OK"  # sent only after the sink returned
+            assert seen == [Event(3, "TAG007", 61000)]
 
 
 def test_listener_cuts_off_overlong_line_only_for_that_client():
     sink = Collector()
     with listen_auto(0, sink) as listener:
-        greedy, _ = connect(listener.port)
-        sock, chat = connect(listener.port)
-        greedy.sendall(b"3,TAG007," + b"9" * MAX_LINE_BYTES)  # never terminated
-        try:
-            closed = greedy.recv(1) == b""
-        except ConnectionResetError:
-            closed = True
-        assert closed
-        for ts in (1000, 2000):
-            chat.write(f"3,TAG007,{ts}\n")
-            chat.flush()
-            assert chat.readline().strip() == "OK"
-        greedy.close()
-        sock.close()
+        with connect(listener.port) as (greedy, _), connect(listener.port) as (sock, chat):
+            greedy.sendall(b"3,TAG007," + b"9" * MAX_LINE_BYTES)  # never terminated
+            try:
+                closed = greedy.recv(1) == b""
+            except ConnectionResetError:
+                closed = True
+            assert closed
+            for ts in (1000, 2000):
+                chat.write(f"3,TAG007,{ts}\n")
+                chat.flush()
+                assert chat.readline().strip() == "OK"
     assert sink.events == [Event(3, "TAG007", 1000), Event(3, "TAG007", 2000)]
 
 
 def test_listener_adds_no_thread_per_connection():
     sink = Collector()
-    with listen_auto(0, sink) as listener:
-        clients = []
+    with listen_auto(0, sink) as listener, contextlib.ExitStack() as clients:
         for i in range(20):
-            sock, chat = connect(listener.port)
-            clients.append(sock)
+            sock, chat = clients.enter_context(connect(listener.port))
             chat.write(f"1,TAG{i:03},{i}\n")
             chat.flush()
             assert chat.readline().strip() == "OK"
             if i == 0:
                 with_one = threading.active_count()
         assert threading.active_count() == with_one
-        for sock in clients:
-            sock.close()
     assert len(sink.events) == 20
 
 

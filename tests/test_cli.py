@@ -193,6 +193,56 @@ def test_a_nul_byte_in_a_roster_field_is_a_roster_error(tmp_path, capsys, rows_b
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("head, line", [(b"\xef\xbb\xbf", 1), (b"", 3)], ids=["bom", "field"])
+def test_a_non_ascii_byte_in_a_roster_names_its_line(tmp_path, capsys, head, line):
+    roster = tmp_path / "roster.csv"
+    roster.write_bytes(head + b"id,rfid,last_name,first_name,gender,category\n"
+                       b"1,BI001,Novak,Ana,female,1\n2,BI002,Horv\xc3\xa1t,Ivo,male,1\n")
+    status = run_cli("run", PROGRAMS / "biathlon.ez", "--runners", roster,
+                     "--events", EVENTS / "biathlon.log", "--out", tmp_path / "out")
+    assert status == 2
+    assert capsys.readouterr().err == f"error: {roster}: line {line}: line must be ASCII\n"
+
+
+@pytest.mark.parametrize("command, source", [
+    ("run", "--events"), ("results", "--journal"), ("serve", None),
+], ids=["run", "results", "serve-restart"])
+def test_a_non_ascii_byte_in_an_event_file_names_its_line(tmp_path, capsys, command, source):
+    out = tmp_path / "out"
+    out.mkdir()
+    events = out / "journal.log"  # where a serve restart finds it
+    data = b"1,BI001,1000,60\n# caf\xc3\xa9\n2,BI001,2000\n"
+    events.write_bytes(data)
+    sources = (source, events) if source else ("--port", "0")
+    status = run_cli(command, PROGRAMS / "biathlon.ez", "--runners", ROSTERS / "biathlon.csv",
+                     *sources, "--out", out)
+    assert status == 2
+    assert capsys.readouterr().err == f"error: {events}: line 2: line must be ASCII\n"
+    assert events.read_bytes() == data
+    assert not (out / "results.csv").exists()
+
+
+def test_a_roster_rfid_with_surrounding_whitespace_matches_its_events(tmp_path):
+    roster = tmp_path / "roster.csv"
+    roster.write_text("id,rfid,last_name,first_name,gender,category\n"
+                      "1, BI001,Novak,Ana,female,1\n2,BI002 ,Horvat,Ivo,male,1\n")
+    events = tmp_path / "events.log"
+    events.write_text("1,BI001,5000\n")
+    assert run_cli("run", PROGRAMS / "biathlon.ez", "--runners", roster,
+                   "--events", events, "--out", tmp_path / "out") == 0
+    assert bi001_penalty(tmp_path / "out" / "results.csv") == "5000"
+
+
+def test_a_roster_rfid_and_the_same_rfid_spaced_are_a_duplicate(tmp_path, capsys):
+    roster = tmp_path / "roster.csv"
+    roster.write_text("id,rfid,last_name,first_name,gender,category\n"
+                      "1,BI001,Novak,Ana,female,1\n2, BI001,Horvat,Ivo,male,1\n")
+    status = run_cli("run", PROGRAMS / "biathlon.ez", "--runners", roster,
+                     "--events", EVENTS / "biathlon.log", "--out", tmp_path / "out")
+    assert status == 2
+    assert capsys.readouterr().err == f"error: {roster}: rfid BI001 appears twice in roster\n"
+
+
 def test_run_unknown_rank_variable(tmp_path, capsys):
     status = run_cli(
         "run", PROGRAMS / "cyclocross.ez",

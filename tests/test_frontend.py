@@ -114,6 +114,18 @@ def test_lex_error_position_and_nonascii():
         tokenize("var Xé := 4;", easytime_base().lexicon)
 
 
+@pytest.mark.parametrize("source, line, column, char", [
+    ("\xe9var X := 4;", 1, 1, "\xe9"),
+    ("var X := 4;\n  var \xa0Y := 5;", 2, 7, "\xa0"),
+    ("var X := 4;\r\nvar Y\x85 := 5;", 2, 6, "\x85"),
+], ids=["first-character", "after-lf", "after-crlf"])
+def test_a_non_ascii_character_is_reported_at_its_position(source, line, column, char):
+    with pytest.raises(LexError) as err:
+        tokenize(source, easytime_base().lexicon)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert err.value.message == f"non-ASCII character {char!r}"
+
+
 def test_comma_is_a_lex_error_in_base():
     with pytest.raises(LexError):
         tokenize("var X := {1,2};", easytime_base().lexicon)
