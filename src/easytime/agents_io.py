@@ -1,13 +1,15 @@
 """Event sources and persistence.
 
 Manual agents and replay logs are files of event lines; automatic agents
-push the same lines over TCP.  ``parse_event_line`` is the one rule for a line
-``mp,rfid,timestamp_ms[,payload]`` on every transport.  ``read_journal`` reads
+push the same lines over TCP.  ``split_lines`` is the one rule for where a line
+ends, and ``parse_event_line`` the one rule for a line
+``mp,rfid,timestamp_ms[,payload]``, on every transport.  ``read_journal`` reads
 a file of them as ``read_event_log`` does, less a torn last line.  Rosters and
-results are CSV.  The TCP listener lives in ``listener``, which ``listen_auto``
-imports when it is called, so only ``serve`` loads the socket and thread
-modules.  It may serve many connections on one thread and hands events to its
-sink one at a time, in arrival order.
+results are CSV.  The TCP listener lives in ``listener``, which ``serve`` and
+``listen_auto`` import when they start listening, so only they load the socket
+modules.  It serves many connections on one thread and hands events to its
+sink one at a time, in arrival order: ``serve`` runs it on the main thread,
+``listen_auto`` on a thread of its own.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import io
 import os
 from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from .runtime import GENDERS, Event, ResultTable, Runner
 
@@ -52,7 +55,9 @@ def load_runners(path: str | os.PathLike) -> list[Runner]:
         try:
             if next(reader, None) != ROSTER_HEADER:
                 raise MalformedRowError(1, f"header must be {','.join(ROSTER_HEADER)}")
-            for lineno, row in enumerate(reader, start=2):
+            end = reader.line_num  # a quoted field may span lines: name where a record starts
+            for row in reader:
+                lineno, end = end + 1, reader.line_num
                 if not row:
                     continue
                 if len(row) != len(ROSTER_HEADER):
@@ -136,10 +141,18 @@ def format_event(event: Event) -> str:
     return line
 
 
-def _parse_events(data: bytes) -> list[Event]:
-    """The events of ``data``'s lines, split as in text mode, sorted by timestamp."""
+def split_lines(data: bytes) -> tuple[Iterable[str], bytes]:
+    """``data``'s whole lines, each ended by ``\\n``, ``\\r`` or ``\\r\\n`` as in text mode and read
+    one byte to a character, and the unterminated rest; a ``\\r\\n`` cut between two calls
+    ends a line, then a blank one.  The lines are read one at a time."""
+    end = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+    return io.StringIO(data[:end].decode("latin-1"), newline=None), data[end:]
+
+
+def _parse_events(lines: Iterable[str]) -> list[Event]:
+    """The events of ``lines``, sorted by timestamp."""
     events: list[Event] = []
-    for lineno, line in enumerate(io.StringIO(data.decode("latin-1"), newline=None), start=1):
+    for lineno, line in enumerate(lines, start=1):
         try:
             if (event := parse_event_line(line)) is not None:
                 events.append(event)
@@ -153,16 +166,16 @@ def read_event_log(path: str | os.PathLike) -> list[Event]:
     """Events from a file, sorted by timestamp with stable ties; blank lines and lines
     starting with ``#`` are skipped."""
     with open(path, "rb") as handle:
-        return _parse_events(handle.read())
+        lines, rest = split_lines(handle.read())
+    return _parse_events(chain(lines, [rest.decode("latin-1")]))  # the rest is a last line
 
 
 def read_journal(path: str | os.PathLike) -> tuple[list[Event], bytes]:
-    """``read_event_log`` of a journal up to its last newline, and the torn bytes after it,
+    """``read_event_log`` of a journal up to its last line end, and the torn bytes after it,
     which a crash in the middle of a write leaves and which were never acknowledged."""
     with open(path, "rb") as handle:
-        data = handle.read()
-    kept = data.rfind(b"\n") + 1
-    return _parse_events(data[:kept]), data[kept:]
+        lines, torn = split_lines(handle.read())
+    return _parse_events(lines), torn
 
 
 def write_event_log(events, path: str | os.PathLike) -> None:
@@ -172,11 +185,11 @@ def write_event_log(events, path: str | os.PathLike) -> None:
 
 
 def listen_auto(port: int, sink):
-    """Start an ``AutoAgentListener``; raises OSError if the port cannot be bound
-    (OverflowError past 65535)."""
+    """An ``AutoAgentListener`` serving on a thread of its own (``start()``); raises OSError
+    if the port cannot be bound (OverflowError past 65535)."""
     from .listener import AutoAgentListener  # the socket and thread modules load only here
 
-    return AutoAgentListener(port, sink)
+    return AutoAgentListener(port, sink).start()
 
 
 def write_results(tables: Iterable[ResultTable], out_dir: str | os.PathLike) -> list[str]:

@@ -23,7 +23,6 @@ import sys
 from .agents_io import (
     MalformedEventError,
     MalformedRowError,
-    listen_auto,
     load_runners,
     read_event_log,
     read_journal,
@@ -183,7 +182,7 @@ def _resume_journal(path) -> list:
 
 
 def cmd_serve(args) -> None:
-    import threading  # loaded for serve alone, like the listener
+    from .listener import AutoAgentListener  # the socket modules load for serve alone
 
     out_dir = _out_dir(args)
     journal_path = os.path.join(out_dir, JOURNAL_NAME)
@@ -197,10 +196,9 @@ def cmd_serve(args) -> None:
         raise _Failure(EXIT_IO, f"cannot open journal: {exc.strerror}")
 
     applied = 0
-    done = threading.Event()
     statements = place_statements(ast)
 
-    # runs on the listener's one thread; the listener acks only after it returns
+    # runs on the main thread, in the listener's loop; the listener acks only after it returns
     def sink(event):
         nonlocal applied
         try:
@@ -219,19 +217,19 @@ def cmd_serve(args) -> None:
             except _Failure as exc:  # a failed snapshot is reported, the race goes on
                 print(f"error: {exc}", file=sys.stderr)
         if applied == args.stop_after:
-            done.set()
+            listener.stop()
 
     with journal:
         try:
-            listener = listen_auto(args.port, sink)
+            listener = AutoAgentListener(args.port, sink)
         except OSError as exc:
             raise _Failure(EXIT_IO, f"cannot bind port {args.port}: {exc.strerror}")
-        with listener, contextlib.suppress(KeyboardInterrupt):
-            # SIGTERM acts as Ctrl-C; a handler calling done.set() can deadlock done.wait().
-            # Set inside the suppress, so a SIGTERM right after the banner still exports
-            signal.signal(signal.SIGTERM, signal.default_int_handler)
-            print(f"listening on port {listener.port}", flush=True)
-            done.wait()
+        # a signal ends the loop between events, never inside the sink; set before the
+        # banner, so a signal right after it still exports
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, lambda *_: listener.stop())
+        print(f"listening on port {listener.port}", flush=True)
+        listener.serve()
     _export_results(race, args, out_dir)
 
 

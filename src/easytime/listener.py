@@ -1,4 +1,4 @@
-"""TCP listener for automatic agents, loaded by ``agents_io.listen_auto``."""
+"""TCP listener for automatic agents, loaded by ``serve`` and ``agents_io.listen_auto``."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ import logging
 import selectors
 import socket
 import threading
+import time
 
-from .agents_io import MAX_LINE_BYTES, MalformedEventError, parse_event_line
+from .agents_io import MAX_LINE_BYTES, MalformedEventError, parse_event_line, split_lines
 
 logger = logging.getLogger(__name__)
 
@@ -16,15 +17,16 @@ logger = logging.getLogger(__name__)
 class AutoAgentListener:
     """TCP line-protocol server standing in for automatic measuring devices.
 
-    One thread runs a selector loop over all connections and calls the sink
-    in arrival order.  Lines are read by ``parse_event_line``, as in event
-    files: a blank or ``#`` line gets no reply, and any other is answered
-    ``OK`` after the sink returns, or ``ERR <reason>`` if it is malformed or
-    the sink raises; the connection stays open.  A sink refuses an event by
-    raising ``MalformedEventError``; other exceptions are logged too.  A client
-    whose unterminated line exceeds ``MAX_LINE_BYTES``, or who leaves replies
-    unread until the kernel takes no more, is cut off.  Out of descriptors, new
-    clients wait until one closes.
+    ``serve`` runs a selector loop over all connections on the calling thread
+    and calls the sink in arrival order until ``stop``.  Lines are framed by
+    ``split_lines`` and read by ``parse_event_line``, as in event files: a blank
+    or ``#`` line gets no reply, and any other is answered ``OK`` after the sink
+    returns, or ``ERR <reason>`` if it is malformed or the sink raises; the
+    connection stays open.  A sink refuses an event by raising
+    ``MalformedEventError``; other exceptions are logged too.  A client whose
+    unterminated line exceeds ``MAX_LINE_BYTES``, or who leaves replies unread
+    until the kernel takes no more, is cut off.  Out of descriptors, the
+    connection idle longest is closed to make room for a new one.
     """
 
     def __init__(self, port: int, sink):
@@ -39,25 +41,25 @@ class AutoAgentListener:
         self._server.listen()
         self._server.setblocking(False)
         self.port = self._server.getsockname()[1]
-        # stop() writes a byte to _wake_w to end the loop's select()
+        self._stopping = False  # set by stop(), which then closes _wake_w to wake the loop
+        self._thread = None
         self._wake_r, self._wake_w = socket.socketpair()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._server, selectors.EVENT_READ)
         self._selector.register(self._wake_r, selectors.EVENT_READ)
-        self._thread = threading.Thread(target=self._loop, name="easytime-listener", daemon=True)
-        self._thread.start()
         logger.info("listening on port %d", self.port)
 
-    def _loop(self) -> None:
+    def serve(self) -> None:
+        """Serve on the calling thread until ``stop``, then close every socket."""
         try:
-            while True:
+            while not self._stopping:
                 for key, _ in self._selector.select():
-                    if key.fileobj is self._wake_r:
-                        return
+                    if self._stopping:  # set before _wake_r turns readable
+                        break
                     if key.fileobj is self._server:
                         self._accept()
-                    else:
-                        self._read(key.fileobj, key.data)
+                        break  # it may close a connection later in this batch; select() again
+                    self._read(key.fileobj, key.data)
         finally:
             for key in self._selector.get_map().values():
                 key.fileobj.close()
@@ -70,36 +72,43 @@ class AutoAgentListener:
             conn, addr = self._server.accept()
         except OSError as exc:  # descriptors ran out, or the client gave up before we got to it
             if exc.errno in (errno.EMFILE, errno.ENFILE):
-                # the server stays readable, so watching it would spin the loop
-                self._selector.unregister(self._server)
+                # a client that opens connections and sends nothing must not lock out the mats
+                conns = [key for key in self._selector.get_map().values() if key.data]
+                if conns:
+                    self._close(min(conns, key=lambda key: key.data[1]).fileobj)
+                else:  # the server stays readable, so watching it would spin the loop
+                    self._selector.unregister(self._server)
             return
         logger.debug("connection from %s", addr)
         conn.setblocking(False)
-        self._selector.register(conn, selectors.EVENT_READ, bytearray())
+        # a connection's data: its unterminated rest, and the monotonic time of its last read
+        self._selector.register(conn, selectors.EVENT_READ, [b"", time.monotonic()])
 
-    def _read(self, conn: socket.socket, buffer: bytearray) -> None:
+    def _read(self, conn: socket.socket, data: list) -> None:
         try:
             chunk = conn.recv(65536)
         except OSError:
             chunk = b""
-        buffer += chunk
-        end = buffer.rfind(b"\n") + 1
-        out = "".join(map(self._handle, buffer[:end].split(b"\n")))
-        del buffer[:end]
+        lines, data[0] = split_lines(data[0] + chunk)
+        data[1] = time.monotonic()
+        out = "".join(self._handle(line) for line in lines if not self._stopping)
         try:
             # never wait on a client that leaves its replies unread: drop it
             sent = conn.send(out.encode("ascii", errors="replace")) if out else 0
         except OSError:
             sent = 0
-        if not chunk or sent < len(out) or len(buffer) > MAX_LINE_BYTES:
-            self._selector.unregister(conn)
-            conn.close()
-            if self._server not in self._selector.get_map():  # a descriptor is free again
-                self._selector.register(self._server, selectors.EVENT_READ)
+        if not chunk or sent < len(out) or len(data[0]) > MAX_LINE_BYTES:
+            self._close(conn)
 
-    def _handle(self, raw: bytearray) -> str:
+    def _close(self, conn: socket.socket) -> None:
+        self._selector.unregister(conn)
+        conn.close()
+        if self._server not in self._selector.get_map():  # a descriptor is free again
+            self._selector.register(self._server, selectors.EVENT_READ)
+
+    def _handle(self, line: str) -> str:
         try:
-            if (event := parse_event_line(raw.decode("latin-1"))) is None:
+            if (event := parse_event_line(line)) is None:
                 return ""  # a blank or comment line
             self._sink(event)
         except MalformedEventError as exc:  # a line that does not parse, or a refused event
@@ -109,16 +118,21 @@ class AutoAgentListener:
             return f"ERR {' '.join(str(exc).split())}\n"
         return "OK\n"
 
-    def stop(self) -> None:
-        """Close the server and every connection; lines not yet read get no reply.
+    def start(self) -> "AutoAgentListener":
+        """Run ``serve`` on a daemon thread of its own, which ``stop()`` then waits for."""
+        self._thread = threading.Thread(target=self.serve, name="easytime-listener", daemon=True)
+        self._thread.start()
+        return self
 
-        Every ``OK`` already sent was for an event the sink returned from.
-        """
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:  # the loop has already ended and closed it
-            pass
-        self._thread.join()
+    def stop(self) -> None:
+        """End ``serve`` between events; later lines reach no sink and get no reply.  Safe
+        from the sink, a signal handler or another thread; from another, returns once
+        ``start()``'s thread has closed every socket.  Every ``OK`` sent was for an event
+        the sink returned from."""
+        self._stopping = True
+        self._wake_w.close()  # _wake_r reads end of file, which ends the loop's select()
+        if self._thread not in (None, threading.current_thread()):
+            self._thread.join()
 
     def __enter__(self) -> "AutoAgentListener":
         return self

@@ -23,6 +23,7 @@ from easytime.agents_io import (
     write_event_log,
     write_results,
 )
+from easytime.listener import AutoAgentListener
 from easytime.runtime import GENDERS, Event, ResultTable, Runner
 
 
@@ -95,6 +96,16 @@ def test_load_runners_rejects_wrong_field_count(tmp_path):
     with pytest.raises(MalformedRowError) as err:
         load_runners(path)
     assert err.value.line == 2
+
+
+def test_load_runners_names_the_line_a_record_starts_on(tmp_path):
+    # a quoted field may span lines; a later error still names its physical line
+    body = '1,T1,"Novak\nJr",Ana,female,1\n2,T2,Kovac,Maja,alien,1\n'
+    with pytest.raises(MalformedRowError) as err:
+        load_runners(write_roster(tmp_path, body))
+    assert str(err.value) == "line 4: gender must be one of female/male, got 'alien'"
+    path = write_roster(tmp_path, body.replace("alien", "female"))
+    assert load_runners(path)[0] == Runner(1, "T1", "Novak\nJr", "Ana", "female", 1)
 
 
 def test_load_runners_strips_the_rfid_as_event_lines_do(tmp_path):
@@ -362,13 +373,15 @@ def wire_replies(port: int, data: bytes) -> list[str]:
     (b"\xa03,TAG007,61000\n", "line must be ASCII"),
     (b"\x1c3,TAG007,61000\x1c\n", Event(3, "TAG007", 61000)),
     (b"\x1c\n", None),
+    (b"1,A,5\r2,A,6\n", [Event(1, "A", 5), Event(2, "A", 6)]),
 ], ids=["valid", "crlf-spaced-payload", "blank", "whitespace", "comment", "malformed",
-        "utf8-field", "latin1-field", "utf8-comment", "nbsp", "x1c-around", "x1c-only"])
+        "utf8-field", "latin1-field", "utf8-comment", "nbsp", "x1c-around", "x1c-only",
+        "bare-cr"])
 def test_a_line_means_the_same_in_a_file_and_on_the_wire(tmp_path, line, meaning):
-    # an Event is answered OK and reaches the sink, a reason is answered ERR, and a
-    # skipped line (None) gets no reply and reaches no sink
+    # an Event (or each of a list) is answered OK and reaches the sink, a reason is
+    # answered ERR, and a skipped line (None) gets no reply and reaches no sink
     refused = isinstance(meaning, str)
-    events = [meaning] if meaning and not refused else []
+    events = meaning if isinstance(meaning, list) else [meaning] if meaning and not refused else []
     replies = [f"ERR {meaning}"] if refused else ["OK"] * len(events)
     path = tmp_path / "events.log"
     path.write_bytes(line)
@@ -382,6 +395,33 @@ def test_a_line_means_the_same_in_a_file_and_on_the_wire(tmp_path, line, meaning
     with listen_auto(0, sink) as listener:
         assert wire_replies(listener.port, line) == replies
     assert sink.events == events
+
+
+def test_listener_reads_a_crlf_cut_between_two_reads_as_a_line_end_and_a_blank_line():
+    sink = Collector()
+    with listen_auto(0, sink) as listener:
+        with connect(listener.port) as (sock, chat):
+            sock.sendall(b"1,A,5\r")
+            assert chat.readline() == "OK\n"
+            sock.sendall(b"\n2,A,6\n")  # the blank line before this one gets no reply
+            assert chat.readline() == "OK\n"
+    assert sink.events == [Event(1, "A", 5), Event(2, "A", 6)]
+
+
+def test_listener_stopped_by_its_sink_answers_no_later_line():
+    # lines read with the one whose sink call stops the listener reach no sink
+    def sink(event: Event) -> None:
+        seen.append(event)
+        if len(seen) == 2:
+            listener.stop()
+
+    seen: list[Event] = []
+    listener = AutoAgentListener(0, sink)
+    with connect(listener.port) as (sock, chat):
+        sock.sendall(b"".join(b"1,A,%d\n" % ts for ts in range(5)))
+        listener.serve()  # returns once the sink has stopped it
+        assert chat.read() == "OK\nOK\n"
+    assert seen == [Event(1, "A", 0), Event(1, "A", 1)]
 
 
 def test_listener_replies_err_when_sink_raises_and_keeps_connection():

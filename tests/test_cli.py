@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -428,9 +430,12 @@ def start_serve(tmp_path):
     """
     started: list[subprocess.Popen] = []
 
-    def start(*extra: str, **popen) -> tuple[subprocess.Popen, int]:
+    def start(*extra: str, code: str | None = None, **popen) -> tuple[subprocess.Popen, int]:
+        command = serve_command(tmp_path / "served", "--port", "0", "--rank", "RUN", *extra)
+        if code is not None:  # the same arguments, given to a script that calls the CLI
+            command[1:3] = ["-c", code]
         proc = subprocess.Popen(
-            serve_command(tmp_path / "served", "--port", "0", "--rank", "RUN", *extra),
+            command,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -655,31 +660,41 @@ def cpu_seconds(pid: int) -> float:
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads CPU time from /proc")
-def test_serve_out_of_descriptors_waits_for_a_free_one_without_spinning(tmp_path, start_serve):
+def limit_descriptors():
+    """Run in a ``serve`` child only: room for about a dozen connections."""
     import resource
 
-    def limit_descriptors():  # runs in the child only: room for about a dozen connections
-        resource.setrlimit(resource.RLIMIT_NOFILE, (24, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+    resource.setrlimit(resource.RLIMIT_NOFILE, (24, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
 
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads CPU time from /proc")
+def test_serve_out_of_descriptors_waits_for_a_free_one_without_spinning(tmp_path, start_serve):
     proc, port = start_serve(preexec_fn=limit_descriptors)
     clients = [socket.create_connection(("127.0.0.1", port), timeout=5.0) for _ in range(30)]
     try:
-        time.sleep(0.5)  # the listener accepts what it can, then runs out of descriptors
+        # the listener accepts what it can; out of descriptors, it closes the connection
+        # idle longest to accept the next one, until the backlog is empty
+        time.sleep(0.5)
         idle_from = cpu_seconds(proc.pid)
         time.sleep(2.0)
         assert cpu_seconds(proc.pid) - idle_from < 0.5
-        waiting = clients[-1]  # still in the kernel's backlog
+        waiting = clients[-1]  # connected last, so the last one left open
         waiting.sendall(b"1,BI001,1000,60\n")
-        waiting.settimeout(0.3)
-        with pytest.raises(TimeoutError):
-            waiting.recv(16)
-        for sock in clients[:-1]:
-            sock.close()
-        waiting.settimeout(5.0)
-        assert waiting.recv(16) == b"OK\n"
+        assert waiting.recv(16) == b"OK\n"  # while the other clients stay open and idle
     finally:
         for sock in clients:
+            sock.close()
+
+
+def test_serve_an_idle_client_holding_every_descriptor_cannot_lock_out_a_mat(tmp_path, start_serve):
+    proc, port = start_serve(preexec_fn=limit_descriptors)
+    # a hog opens more connections than the listener has descriptors for, and sends nothing
+    hog = [socket.create_connection(("127.0.0.1", port), timeout=5.0) for _ in range(30)]
+    try:
+        time.sleep(0.5)
+        assert push_lines(port, ["1,BI001,1000,60", "2,BI001,2000"]) == ["OK", "OK"]
+    finally:
+        for sock in hog:
             sock.close()
 
 
@@ -722,6 +737,91 @@ def test_serve_sigterm_right_after_the_banner_still_exports(tmp_path):
     assert "Traceback" not in child.stderr
     assert child.stdout.startswith("listening on port ")
     assert len((tmp_path / "served" / "results.csv").read_text().splitlines()) == 3
+
+
+def replies_until_closed(sock: socket.socket) -> list[str]:
+    """The reply lines ``sock`` reads until the server closes the connection."""
+    data = b""
+    with contextlib.suppress(ConnectionResetError):  # closed with our lines still unread
+        while chunk := sock.recv(4096):
+            data += chunk
+    return data.decode("ascii").splitlines()
+
+
+def assert_results_replay_the_journal(served: Path, out: Path) -> None:
+    """``served/results.csv`` is what ``easytime results`` exports from ``served/journal.log``."""
+    assert run_cli(
+        "results", PROGRAMS / "biathlon.ez",
+        "--runners", ROSTERS / "biathlon.csv",
+        "--journal", served / "journal.log", "--rank", "RUN", "--out", out,
+    ) == 0
+    assert (out / "results.csv").read_bytes() == (served / "results.csv").read_bytes()
+
+
+def test_serve_stop_after_applies_exactly_n_of_the_lines_read_with_the_nth(tmp_path, start_serve):
+    lines = biathlon_lines()
+    proc, port = start_serve("--stop-after", "2")
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall("".join(line + "\n" for line in lines).encode("ascii"))
+        replies = replies_until_closed(sock)
+    _, err = proc.communicate(timeout=10)
+    assert proc.returncode == 0, err
+    assert replies == ["OK", "OK"]  # the later lines reach no sink and get no reply
+    served = tmp_path / "served"
+    assert (served / "journal.log").read_text().splitlines() == lines[:2]
+    assert_results_replay_the_journal(served, tmp_path / "rerun")
+
+
+def test_serve_sigint_ends_serving_and_exports(tmp_path, start_serve):
+    lines = biathlon_lines()
+    proc, port = start_serve()
+    served = tmp_path / "served"
+    assert push_lines(port, lines[:4], served / "journal.log") == ["OK"] * 4
+    proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=10)
+    assert proc.returncode == 0
+    assert err == ""
+    assert (served / "journal.log").read_text().splitlines() == lines[:4]
+    assert_results_replay_the_journal(served, tmp_path / "rerun")
+
+
+# a child whose sink runs BEFORE_STEP after each journal write, just before the step
+WRAPPED_STEP = """
+import os, signal, sys, threading
+from easytime import cli
+
+step = cli.run_statements
+
+def before_then_step(*args):
+    BEFORE_STEP
+    return step(*args)
+
+cli.run_statements = before_then_step
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_serve_sigterm_inside_the_sink_still_applies_the_journaled_event(tmp_path, start_serve):
+    # a signal ends serving between events: never with an event journaled but not applied
+    code = WRAPPED_STEP.replace("BEFORE_STEP", "os.kill(os.getpid(), signal.SIGTERM)")
+    proc, port = start_serve(code=code)
+    assert push_lines(port, ["1,BI001,1000,60"]) == ["OK"]
+    _, err = proc.communicate(timeout=10)
+    assert proc.returncode == 0, err
+    served = tmp_path / "served"
+    assert (served / "journal.log").read_text() == "1,BI001,1000,60\n"
+    assert_results_replay_the_journal(served, tmp_path / "rerun")
+
+
+def test_serve_runs_its_sink_on_the_main_thread_alone(tmp_path, start_serve):
+    code = WRAPPED_STEP.replace("BEFORE_STEP", "print(threading.active_count(),"
+                                " threading.current_thread() is threading.main_thread(),"
+                                " file=sys.stderr)")
+    proc, port = start_serve("--stop-after", "2", code=code)
+    assert push_lines(port, ["1,BI001,1000,60", "2,BI001,2000"]) == ["OK", "OK"]
+    _, err = proc.communicate(timeout=10)
+    assert proc.returncode == 0
+    assert err.splitlines() == ["1 True", "1 True"]
 
 
 def test_serve_port_in_use(tmp_path, start_serve):
