@@ -224,13 +224,17 @@ def cmd_serve(args) -> None:
             listener = AutoAgentListener(args.port, sink)
         except OSError as exc:
             raise _Failure(EXIT_IO, f"cannot bind port {args.port}: {exc.strerror}")
-        # a signal ends the loop between events, never inside the sink; set before the
-        # banner, so a signal right after it still exports
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            signal.signal(signum, lambda *_: listener.stop())
-        print(f"listening on port {listener.port}", flush=True)
-        listener.serve()
-    _export_results(race, args, out_dir)
+        # a signal ends the loop between events, never inside the sink, and cannot cut the
+        # export short; set before the banner, so a signal right after it still exports
+        handlers = [(signum, signal.signal(signum, lambda *_: listener.stop()))
+                    for signum in (signal.SIGINT, signal.SIGTERM)]
+        try:
+            print(f"listening on port {listener.port}", flush=True)
+            listener.serve()
+            _export_results(race, args, out_dir)
+        finally:  # an in-process caller gets its own handlers back
+            for signum, handler in handlers:
+                signal.signal(signum, handler)
 
 
 def _int_in(values: range, what: str):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import logging
+import select
 import selectors
 import socket
 import threading
@@ -12,21 +13,22 @@ import time
 from .agents_io import MAX_LINE_BYTES, MalformedEventError, parse_event_line, split_lines
 
 logger = logging.getLogger(__name__)
+ACCEPT_RETRY_S = 0.1  # out of descriptors with no connection to close, the wait between accepts
 
 
 class AutoAgentListener:
     """TCP line-protocol server standing in for automatic measuring devices.
 
-    ``serve`` runs a selector loop over all connections on the calling thread
-    and calls the sink in arrival order until ``stop``.  Lines are framed by
-    ``split_lines`` and read by ``parse_event_line``, as in event files: a blank
-    or ``#`` line gets no reply, and any other is answered ``OK`` after the sink
-    returns, or ``ERR <reason>`` if it is malformed or the sink raises; the
-    connection stays open.  A sink refuses an event by raising
-    ``MalformedEventError``; other exceptions are logged too.  A client whose
-    unterminated line exceeds ``MAX_LINE_BYTES``, or who leaves replies unread
-    until the kernel takes no more, is cut off.  Out of descriptors, the
-    connection idle longest is closed to make room for a new one.
+    ``serve`` runs a selector loop over all connections on the calling thread and calls
+    the sink in arrival order until ``stop``.  Lines are framed by ``split_lines`` and read
+    by ``parse_event_line``, as in event files: a blank or ``#`` line gets no reply, and any
+    other is answered ``OK`` after the sink returns, or ``ERR <reason>`` if it is malformed
+    or the sink raises; the connection stays open.  A sink refuses an event by raising
+    ``MalformedEventError``; other exceptions are logged too.  A client whose unterminated
+    line exceeds ``MAX_LINE_BYTES``, or who leaves replies unread until the kernel takes no
+    more, is cut off.  Out of descriptors, the connection idle longest is closed to make
+    room for a new one; with none open, the accept is retried every ``ACCEPT_RETRY_S``
+    seconds, so serving goes on once a descriptor is free.
     """
 
     def __init__(self, port: int, sink):
@@ -63,7 +65,6 @@ class AutoAgentListener:
         finally:
             for key in self._selector.get_map().values():
                 key.fileobj.close()
-            self._server.close()  # not in the map while descriptors ran out
             self._selector.close()
             self._wake_w.close()
 
@@ -76,8 +77,8 @@ class AutoAgentListener:
                 conns = [key for key in self._selector.get_map().values() if key.data]
                 if conns:
                     self._close(min(conns, key=lambda key: key.data[1]).fileobj)
-                else:  # the server stays readable, so watching it would spin the loop
-                    self._selector.unregister(self._server)
+                else:  # the server stays readable, so wait, not spin; stop() ends the wait
+                    select.select([self._wake_r], [], [], ACCEPT_RETRY_S)
             return
         logger.debug("connection from %s", addr)
         conn.setblocking(False)
@@ -103,8 +104,6 @@ class AutoAgentListener:
     def _close(self, conn: socket.socket) -> None:
         self._selector.unregister(conn)
         conn.close()
-        if self._server not in self._selector.get_map():  # a descriptor is free again
-            self._selector.register(self._server, selectors.EVENT_READ)
 
     def _handle(self, line: str) -> str:
         try:

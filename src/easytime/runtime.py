@@ -224,7 +224,7 @@ def result_tables(
     ``rank_var`` and ``group_by`` are checked, and the runners grouped, when this
     is called.  Each table is made from ``race.per_runner`` as it is asked for, so
     ``race`` must not be stepped until the generator is used up; ``serve`` exports
-    inside its sink, on the listener's one thread.  A consumer that drops each
+    inside its sink, on its main thread, between events.  A consumer that drops each
     table before taking the next holds about one group's rows at a time.
     """
     check_rank_var(race.var_names, rank_var)

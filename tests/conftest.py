@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 import string
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,8 +17,12 @@ from easytime.frontend import (
     Statement,
     VarDecl,
 )
+from easytime.runtime import Event
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# `python -m` and `python -c` put their working directory first on sys.path,
+# so a child started there imports this checkout's package
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every keyword of either dialect; generated identifiers must avoid them
 KEYWORDS = frozenset(
@@ -93,3 +99,24 @@ def peak_bytes(consume) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+class Collector:
+    """A listener sink that keeps every event it is called with, from any thread."""
+
+    def __init__(self):
+        self.events: list[Event] = []
+        self.lock = threading.Lock()
+
+    def __call__(self, event: Event) -> None:
+        with self.lock:
+            self.events.append(event)
+
+    def wait_for(self, count: int, timeout: float) -> list[Event]:
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            with self.lock:
+                if len(self.events) >= count:
+                    return list(self.events)
+            time.sleep(0.005)
+        raise AssertionError(f"sink saw {len(self.events)} events, wanted {count}")

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import FIXTURES, program_source, random_program, random_var_decl
+from conftest import FIXTURES, Collector, program_source, random_program, random_var_decl
 from easytime.agents_io import (
     format_event,
     listen_auto,
@@ -209,25 +209,6 @@ def test_criterion_6_biathlon_end_to_end():
         assert race.per_runner["BI001"]["ROUND"] == 0
 
 
-class _Collector:
-    def __init__(self):
-        self.events: list[Event] = []
-        self.lock = threading.Lock()
-
-    def __call__(self, event: Event) -> None:
-        with self.lock:
-            self.events.append(event)
-
-    def wait_for(self, count: int, timeout: float = 8.0) -> list[Event]:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self.lock:
-                if len(self.events) >= count:
-                    return list(self.events)
-            time.sleep(0.005)
-        raise AssertionError(f"sink saw {len(self.events)} events, wanted {count}")
-
-
 def _stream(port: int, events: list[Event]) -> None:
     with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
         chat = sock.makefile("rw", encoding="ascii", newline="\n")
@@ -261,10 +242,10 @@ def test_criterion_7_transport_equivalence(tmp_path):
             events = read_event_log(EVENTS / f"{stem}.log")
             by_file = replay(init_race(state, roster), ast, events)
 
-            sink = _Collector()
+            sink = Collector()
             with listen_auto(0, sink) as listener:
                 _stream(listener.port, events)
-                received = sink.wait_for(len(events))
+                received = sink.wait_for(len(events), timeout=8.0)
             received.sort(key=lambda e: e.timestamp_ms)
             assert received == events
             by_wire = replay(init_race(state, roster), ast, received)
@@ -285,7 +266,7 @@ def test_criterion_7_transport_equivalence(tmp_path):
         merged = sorted(one + two, key=lambda e: e.timestamp_ms)
         assert len(merged) == 200
 
-        sink = _Collector()
+        sink = Collector()
         with listen_auto(0, sink) as listener:
             threads = [
                 threading.Thread(target=_stream, args=(listener.port, one)),
@@ -295,7 +276,7 @@ def test_criterion_7_transport_equivalence(tmp_path):
                 t.start()
             for t in threads:
                 t.join()
-            received = sink.wait_for(200)
+            received = sink.wait_for(200, timeout=8.0)
         received.sort(key=lambda e: e.timestamp_ms)
         assert received == merged
         by_file = replay(init_race(state, roster), ast, merged)

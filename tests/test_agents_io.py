@@ -5,11 +5,13 @@ import gc
 import os
 import random
 import socket
+import subprocess
+import sys
 import threading
-import time
 
 import pytest
 
+from conftest import SRC, Collector
 from easytime.agents_io import (
     MAX_LINE_BYTES,
     MalformedEventError,
@@ -231,25 +233,6 @@ def test_write_event_log_round_trip(tmp_path):
 
 # --- listener ---------------------------------------------------------
 
-class Collector:
-    def __init__(self):
-        self.events: list[Event] = []
-        self.lock = threading.Lock()
-
-    def __call__(self, event: Event) -> None:
-        with self.lock:
-            self.events.append(event)
-
-    def wait_for(self, count: int, timeout: float = 5.0) -> list[Event]:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self.lock:
-                if len(self.events) >= count:
-                    return list(self.events)
-            time.sleep(0.01)
-        raise AssertionError(f"sink saw {len(self.events)} events, wanted {count}")
-
-
 @contextlib.contextmanager
 def connect(port: int):
     """A client socket and a text file over it; both are closed on leaving, also when
@@ -266,7 +249,7 @@ def test_listener_acknowledges_and_delivers():
             chat.write("3,TAG007,61000\n")
             chat.flush()
             assert chat.readline().strip() == "OK"
-        assert sink.wait_for(1) == [Event(3, "TAG007", 61000)]
+        assert sink.wait_for(1, timeout=5.0) == [Event(3, "TAG007", 61000)]
 
 
 def test_listener_rejects_malformed_line_and_keeps_connection():
@@ -279,7 +262,7 @@ def test_listener_rejects_malformed_line_and_keeps_connection():
             chat.write("3,TAG007,61000\n")
             chat.flush()
             assert chat.readline().strip() == "OK"
-        assert sink.wait_for(1) == [Event(3, "TAG007", 61000)]
+        assert sink.wait_for(1, timeout=5.0) == [Event(3, "TAG007", 61000)]
     assert len(sink.events) == 1
 
 
@@ -306,7 +289,7 @@ def test_listener_interleaved_connections_deliver_everything():
             t.start()
         for t in threads:
             t.join()
-        received = sink.wait_for(200)
+        received = sink.wait_for(200, timeout=5.0)
     assert sorted(received, key=str) == sorted(sent, key=str)
     # per-connection order is preserved even when interleaved
     assert [e for e in received if e.rfid == "AAA"] == [e for e in sent if e.rfid == "AAA"]
@@ -472,6 +455,71 @@ def test_listener_adds_no_thread_per_connection():
                 with_one = threading.active_count()
         assert threading.active_count() == with_one
     assert len(sink.events) == 20
+
+
+# a child with 64 descriptors that uses them all up while its listener has no connection
+# open; client A connects then, client B once they are free again, and each must get its OK
+OUT_OF_DESCRIPTORS = r"""
+import errno, os, resource, socket, time
+from easytime.agents_io import listen_auto
+
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+
+def exhaust():
+    held = []
+    try:
+        while True:
+            held.append(os.open(os.devnull, os.O_RDONLY))
+    except OSError as exc:
+        assert exc.errno == errno.EMFILE, exc
+    return held
+
+def client(port, line):
+    sock = socket.socket()
+    sock.settimeout(2.0)
+    sock.connect(("127.0.0.1", port))
+    sock.sendall(line)
+    return sock
+
+seen = []
+listener = listen_auto(0, seen.append)
+held = exhaust()
+os.close(held.pop())  # room for client A's socket, and none to accept it with
+a = client(listener.port, b"1,A,1000\n")
+time.sleep(0.2)
+cpu = time.process_time()
+time.sleep(1.0)
+spent = time.process_time() - cpu
+assert spent < 0.3, f"{spent:.2f} s of CPU over 1 s short of descriptors"
+for fd in held:
+    os.close(fd)
+b = client(listener.port, b"1,B,2000\n")
+assert (a.recv(16), b.recv(16)) == (b"OK\n", b"OK\n")  # each within its 2 s timeout
+assert sorted(event.rfid for event in seen) == ["A", "B"]
+for sock in (a, b):  # the listener reads our end of file and closes its own end first
+    sock.shutdown(socket.SHUT_WR)
+    assert sock.recv(16) == b""
+    sock.close()
+
+held = exhaust()  # again, now with no connection open to close
+os.close(held.pop())
+c = client(listener.port, b"1,C,3000\n")
+time.sleep(0.3)
+start = time.monotonic()
+listener.stop()
+took = time.monotonic() - start
+assert took < 0.5, f"stop() took {took:.2f} s while short of descriptors"
+assert len(seen) == 2
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="sets RLIMIT_NOFILE")
+def test_listener_out_of_descriptors_with_no_connection_open_serves_once_one_is_free():
+    child = subprocess.run(
+        [sys.executable, "-c", OUT_OF_DESCRIPTORS],
+        capture_output=True, text=True, cwd=SRC, timeout=30,
+    )
+    assert child.returncode == 0, child.stderr
 
 
 # --- results files ----------------------------------------------------

@@ -7,12 +7,13 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, program_source
+from conftest import FIXTURES, SRC, program_source
 from easytime.agents_io import load_runners, parse_event_line, read_journal, write_results
 from easytime.cli import _resume_journal, build_parser, main
 from easytime.frontend import parse_source
@@ -23,9 +24,6 @@ from easytime.semantics import analyze
 PROGRAMS = FIXTURES / "programs"
 ROSTERS = FIXTURES / "rosters"
 EVENTS = FIXTURES / "events"
-# `python -m` puts its working directory first on sys.path, so a child
-# started there imports this checkout's package
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args: str) -> int:
@@ -783,6 +781,27 @@ def test_serve_sigint_ends_serving_and_exports(tmp_path, start_serve):
     assert err == ""
     assert (served / "journal.log").read_text().splitlines() == lines[:4]
     assert_results_replay_the_journal(served, tmp_path / "rerun")
+
+
+def test_serve_in_process_puts_back_the_signal_handlers_it_found(tmp_path, monkeypatch):
+    before = [signal.getsignal(signum) for signum in (signal.SIGINT, signal.SIGTERM)]
+    banner_r, banner_w = os.pipe()
+    with open(banner_r, encoding="ascii") as banner, open(banner_w, "w", encoding="ascii") as out:
+        monkeypatch.setattr(sys, "stdout", out)  # the client reads the port from the banner
+
+        def client():
+            port = int(banner.readline().rsplit(" ", 1)[1])
+            replies.extend(push_lines(port, ["1,BI001,1000,60"]))
+
+        replies: list[str] = []
+        sender = threading.Thread(target=client)
+        sender.start()
+        try:
+            assert main(serve_command(tmp_path / "served", "--port", "0", "--stop-after", "1")[3:]) == 0
+        finally:
+            sender.join(timeout=10)
+    assert replies == ["OK"]
+    assert [signal.getsignal(signum) for signum in (signal.SIGINT, signal.SIGTERM)] == before
 
 
 # a child whose sink runs BEFORE_STEP after each journal write, just before the step
