@@ -10,6 +10,11 @@ data-file error.  A failing step raises ``_Failure`` with its exit code and
 message; ``main`` alone prints ``error: <message>`` and returns the code.
 The one failure that does not end a command is a ``serve`` snapshot export,
 which is reported and serving goes on.
+
+Each command loads the layers it runs: ``check`` the compiler (``langdef``,
+``diagnostics``, ``frontend``, ``semantics``) and ``runtime``, whose groupings and
+errors this module names; ``run`` and ``results`` add ``agents_io`` with ``csv``;
+``serve`` adds the listener and its socket modules too.
 """
 
 from __future__ import annotations
@@ -20,16 +25,6 @@ import os
 import signal
 import sys
 
-from .agents_io import (
-    MalformedEventError,
-    MalformedRowError,
-    load_runners,
-    read_event_log,
-    read_journal,
-    write_event_log,
-    write_results,
-    format_event,
-)
 from .diagnostics import Diagnostic, ERROR, has_errors
 from .frontend import LexError, ParseError, parse_source
 from .langdef import easytime_base, easytime_pp
@@ -80,8 +75,14 @@ def _read(path, reader):
         return reader(path)
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot read {path}: {exc.strerror}")
-    except (MalformedRowError, MalformedEventError, DuplicateRfidError, DuplicateRunnerIdError) as exc:
+    except _data_errors() as exc:
         raise _Failure(EXIT_IO, f"{path}: {exc}")
+
+
+def _data_errors() -> tuple:
+    # called only once a reader has raised, so check's read of its source loads no agents_io
+    from .agents_io import MalformedEventError, MalformedRowError
+    return MalformedRowError, MalformedEventError, DuplicateRfidError, DuplicateRunnerIdError
 
 
 def _compile(path: str, dialect: str):
@@ -109,6 +110,8 @@ def _out_dir(args) -> str:
 
 
 def _export_results(race, args, out_dir: str) -> None:
+    from .agents_io import write_results
+
     # one group's table at a time, so an export holds about one group's rows
     tables = result_tables(race, rank_var=args.rank, group_by=args.group)
     try:
@@ -117,9 +120,11 @@ def _export_results(race, args, out_dir: str) -> None:
         raise _Failure(EXIT_IO, f"cannot write results: {exc.strerror}")
 
 
-def _start(args, event_paths, read_events=read_event_log):
+def _start(args, event_paths, read_events):
     """Compile, load the roster, check ``--rank``, step the events of ``read_events(path)``
     for each path, by timestamp; returns the program, the race and the events stepped."""
+    from .agents_io import load_runners
+
     ast, state = _compile(args.program, args.dialect)
     race = _read(args.runners, lambda path: init_race(state, load_runners(path)))
     try:
@@ -144,7 +149,9 @@ def _start(args, event_paths, read_events=read_event_log):
 
 
 def cmd_run(args) -> None:
-    _, race, events = _start(args, args.events)
+    from .agents_io import read_event_log, write_event_log
+
+    _, race, events = _start(args, args.events, read_event_log)
     out_dir = _out_dir(args)
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -157,6 +164,8 @@ def cmd_run(args) -> None:
 
 def _journal_events(path) -> tuple[list, bytes]:
     """``read_journal(path)``, warning of the torn last line it left out."""
+    from .agents_io import read_journal
+
     events, torn = read_journal(path)
     if torn:
         print(f"warning: {path}: dropped {len(torn)} bytes of a torn last line:"
@@ -182,6 +191,7 @@ def _resume_journal(path) -> list:
 
 
 def cmd_serve(args) -> None:
+    from .agents_io import MalformedEventError, format_event
     from .listener import AutoAgentListener  # the socket modules load for serve alone
 
     out_dir = _out_dir(args)

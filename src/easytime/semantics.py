@@ -110,6 +110,7 @@ def analyze(ast: ProgramAst) -> tuple[StaticState, list[Diagnostic]]:
     diags: list[Diagnostic] = []
 
     state = StaticState.empty()
+    bound = []  # the declarations that bound a name: the first of each
     for decl in ast.decls:
         try:
             state = decl_meaning(decl, state)
@@ -117,6 +118,8 @@ def analyze(ast: ProgramAst) -> tuple[StaticState, list[Diagnostic]]:
             diags.append(Diagnostic(ERROR, "DuplicateDeclaration",
                                     f"variable {exc.name} declared twice",
                                     exc.line, exc.column))
+        else:
+            bound.append(decl)
 
     agent_ids: set[int] = set()
     for agent in ast.agents:
@@ -154,8 +157,8 @@ def analyze(ast: ProgramAst) -> tuple[StaticState, list[Diagnostic]]:
                                             f" variable {stmt.pred.var}",
                                             stmt.line, stmt.column))
 
-    for decl in ast.decls:
-        if decl.name in state and decl.name not in referenced:
+    for decl in bound:
+        if decl.name not in referenced:
             diags.append(Diagnostic(WARNING, "UnusedVariable",
                                     f"variable {decl.name} is never used",
                                     decl.line, decl.column))

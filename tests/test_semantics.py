@@ -194,3 +194,9 @@ def test_analyze_does_not_mutate_ast():
     snapshot = copy.deepcopy(ast)
     analyze(ast)
     assert ast == snapshot
+
+
+def test_analyze_warns_once_for_an_unused_name_declared_twice():
+    source = '1 manual "a.dat";\nvar X := 1;\nvar X := 2;\nvar Y := 3;\nmp[1] -> agnt[1] { (true) -> upd Y; }'
+    _, diags = analyze(parse_source(source, easytime_pp()))
+    assert [(d.code, d.line) for d in diags] == [("UnusedVariable", 2), ("DuplicateDeclaration", 3)]

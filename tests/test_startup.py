@@ -19,22 +19,67 @@ EVENTS = str(FIXTURES / "events" / "biathlon.log")
 # modules load only when serve starts listening; results are written with os.path
 NOT_LOADED = ("dataclasses", "inspect", "logging", "pathlib", "socket", "selectors", "threading")
 
+# what easytime.cli loads before a command runs: the compiler layers and runtime, whose
+# groupings and errors it names; agents_io, and csv with it, load for run, results and serve
+COMPILER = ("easytime", "easytime.cli", "easytime.diagnostics", "easytime.langdef",
+            "easytime.frontend", "easytime.semantics", "easytime.runtime")
 
-@pytest.mark.parametrize("snippet", [
-    "import easytime; easytime.easytime_pp()",
-    "import easytime.cli",
-    "from easytime.cli import main\n"
-    f"assert main(['check', {PROGRAM!r}]) == 0",
-    "from easytime.cli import main\n"
-    f"assert main(['check', {PROGRAM!r}]) == 0\n"
-    f"assert main(['run', {PROGRAM!r}, '--runners', {ROSTER!r}, '--events', {EVENTS!r},"
-    " '--out', OUT]) == 0",
-], ids=["easytime", "easytime.cli", "check", "check-and-run"])
-def test_start_up_loads_no_module_it_does_not_use(tmp_path, snippet):
-    code = (f"OUT = {str(tmp_path)!r}\n{snippet}\n"
-            f"import sys\nprint(*(name for name in {NOT_LOADED!r} if name in sys.modules))")
+# each public name and the layer it is defined in
+HOMES = {
+    "easytime.langdef": ("LanguageDef", "LanguageFragment", "compose_language", "easytime_base",
+                         "easytime_pp", "easytime_pp_fragment", "validate_language"),
+    "easytime.frontend": ("ProgramAst", "parse", "parse_source", "pretty", "tokenize"),
+    "easytime.semantics": ("StaticState", "analyze", "decl_meaning", "decl_sequence"),
+    "easytime.runtime": ("Event", "RaceState", "Runner", "apply_event", "eval_predicate",
+                         "init_race", "race_results", "replay", "result_tables"),
+    "easytime.agents_io": ("listen_auto", "load_runners", "read_event_log", "write_results"),
+}
+
+
+def run_fresh(code: str) -> str:
+    """The standard output of ``code`` run by a fresh interpreter importing from ``src``."""
     # -S keeps site's own imports out; -c puts the working directory first on sys.path
     res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          cwd=SRC, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == []
+    return res.stdout
+
+
+@pytest.mark.parametrize("snippet, package", [
+    ("import easytime; easytime.easytime_pp()",
+     ("easytime", "easytime.diagnostics", "easytime.langdef")),
+    ("import easytime.cli", COMPILER),
+    ("from easytime.cli import main\n"
+     f"assert main(['check', {PROGRAM!r}]) == 0", COMPILER),
+    ("from easytime.cli import main\n"
+     f"assert main(['check', {PROGRAM!r}]) == 0\n"
+     f"assert main(['run', {PROGRAM!r}, '--runners', {ROSTER!r}, '--events', {EVENTS!r},"
+     " '--out', OUT]) == 0", (*COMPILER, "easytime.agents_io", "csv")),
+], ids=["easytime", "easytime.cli", "check", "check-and-run"])
+def test_start_up_loads_no_module_it_does_not_use(tmp_path, snippet, package):
+    loaded = run_fresh(f"OUT = {str(tmp_path)!r}\n{snippet}\n"
+                       "import sys\nprint(*sys.modules)").split()
+    assert [name for name in NOT_LOADED if name in loaded] == []
+    # exactly these of the package, so no listener for run and no agents_io for check
+    assert sorted(name for name in loaded if name.startswith("easytime") or name == "csv") \
+        == sorted(package)
+
+
+def test_every_public_name_resolves_to_its_layer_in_a_fresh_interpreter():
+    names = [name for layer_names in HOMES.values() for name in layer_names]
+    out = run_fresh(
+        "import easytime, sys\n"
+        "assert easytime.runtime is sys.modules['easytime.runtime']\n"
+        "star = {}\n"
+        "exec('from easytime import *', star)\n"
+        f"for layer, layer_names in {HOMES!r}.items():\n"
+        "    for name in layer_names:\n"
+        "        assert star[name] is getattr(easytime, name) is getattr(sys.modules[layer], name)\n"
+        "print(*easytime.__all__)\n"
+        "print(set(easytime.__all__) <= set(dir(easytime)), hasattr(easytime, 'no_such_name'))\n"
+        "try:\n"
+        "    easytime.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n").splitlines()
+    assert out[0].split() == names
+    assert out[1:] == ["True False", "module 'easytime' has no attribute 'no_such_name'"]
