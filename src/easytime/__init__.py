@@ -15,7 +15,7 @@ _LAYERS = {
     "frontend": ("ProgramAst", "parse", "parse_source", "pretty", "tokenize"),
     "semantics": ("StaticState", "analyze", "decl_meaning", "decl_sequence"),
     "runtime": ("Event", "RaceState", "Runner", "apply_event", "eval_predicate", "init_race",
-                "race_results", "replay", "result_tables"),
+                "race_results", "replay"),
     "agents_io": ("listen_auto", "load_runners", "read_event_log", "write_results"),
 }
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names}

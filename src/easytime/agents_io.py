@@ -5,11 +5,13 @@ push the same lines over TCP.  ``split_lines`` is the one rule for where a line
 ends, and ``parse_event_line`` the one rule for a line
 ``mp,rfid,timestamp_ms[,payload]``, on every transport.  ``read_journal`` reads
 a file of them as ``read_event_log`` does, less a torn last line.  Rosters and
-results are CSV.  The TCP listener lives in ``listener``, which ``serve`` and
-``listen_auto`` import when they start listening, so only they load the socket
-modules.  It serves many connections on one thread and hands events to its
-sink one at a time, in arrival order: ``serve`` runs it on the main thread,
-``listen_auto`` on a thread of its own.
+results are CSV.  ``write_results`` writes result tables with the csv module;
+``_export_race``, the export of ``run``, ``results`` and ``serve``, writes the same
+bytes from ready-made lines, without building the tables.  The TCP listener lives
+in ``listener``, which ``serve`` and ``listen_auto`` import when they start
+listening, so only they load the socket modules.  It serves many connections on
+one thread and hands events to its sink one at a time, in arrival order:
+``serve`` runs it on the main thread, ``listen_auto`` on a thread of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
-from .runtime import GENDERS, Event, ResultTable, Runner
+from .runtime import GENDERS, RUNNER_COLUMNS, Event, ResultTable, Runner, _ranked_groups
 
 ROSTER_HEADER = ["id", "rfid", "last_name", "first_name", "gender", "category"]
 
@@ -192,25 +194,91 @@ def listen_auto(port: int, sink):
     return AutoAgentListener(port, sink).start()
 
 
+def _write_whole(out_dir: str | os.PathLike, label: str, write) -> str:
+    """Write the results file of the group ``label`` ("" for the ungrouped one) under
+    ``out_dir`` by ``write(handle)``, and return its path.  The file is written to a part
+    file that then replaces it whole, so a reader never sees part of one; a failed
+    write removes the part file and leaves the old file as it was."""
+    name = f"results_{label}.csv" if label else "results.csv"
+    path = os.path.join(out_dir, name)
+    # two processes may share out_dir
+    part = os.path.join(out_dir, f".{name}.{os.getpid()}.part")
+    try:
+        with open(part, "w", newline="", encoding="ascii") as handle:
+            write(handle)
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
+    return path
+
+
 def write_results(tables: Iterable[ResultTable], out_dir: str | os.PathLike) -> list[str]:
     """One CSV per table under ``out_dir``, and their paths; undefined values
     become empty cells.  Each file is replaced whole, so a reader never sees part of one."""
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
     for table in tables:
-        name = f"results_{table.label}.csv" if table.label else "results.csv"
-        path = os.path.join(out_dir, name)
-        # two processes may share out_dir
-        part = os.path.join(out_dir, f".{name}.{os.getpid()}.part")
-        try:
-            with open(part, "w", newline="", encoding="ascii") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(table.columns)
-                writer.writerows(table.rows)  # csv writes None as an empty cell
-            os.replace(part, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(part)
-            raise
-        written.append(path)
+        def write(handle, table=table):
+            writer = csv.writer(handle)
+            writer.writerow(table.columns)
+            writer.writerows(table.rows)  # csv writes None as an empty cell
+        written.append(_write_whole(out_dir, table.label, write))
+    return written
+
+
+# the characters that make csv's minimal rule quote a field
+_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _quoted(field: str) -> str:
+    """``field`` as csv's minimal rule writes it."""
+    if any(char in field for char in _SPECIAL):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _needs_quoting(runners) -> bool:
+    """Whether a name of ``runners`` is one csv's minimal rule quotes."""
+    names = "".join([runner.last_name + runner.first_name for runner in runners])
+    return any(char in names for char in _SPECIAL)
+
+
+def _export_race(race, out_dir: str | os.PathLike, rank_var: str | None = None,
+                 group_by: str | None = None) -> list[str]:
+    """The files of ``write_results(race_results(race, rank_var, group_by), out_dir)``,
+    byte for byte, and their paths; the export of ``run``, ``results`` and each ``serve``
+    snapshot.
+
+    ``rank_var`` and ``group_by`` are checked before anything is written.  Each group's
+    file is written from ready-made lines, without building its table.  Runners who never
+    raced share their category's starting dict, so a group formats the cells of each
+    distinct dict once.  Values are ints or None; a group quotes its names by csv's
+    minimal rule only if one of them needs quoting.
+    """
+    groups = _ranked_groups(race, rank_var, group_by)
+    os.makedirs(out_dir, exist_ok=True)
+    per_runner, names = race.per_runner, race.var_names
+    header = ",".join(RUNNER_COLUMNS + names) + "\r\n"
+    written: list[str] = []
+    for label, runners, ranked in groups:
+        # id(variables) -> their cells, for one group: each dict is held by race.per_runner,
+        # so no id is reused while this lives, and one kept for the whole export would
+        # hold the cells of every runner who raced until its end
+        cells_of: dict[int, str] = {}
+        quoting = _needs_quoting(runners)
+        lines = [header]
+        for place, runner in enumerate(runners, 1):
+            variables = per_runner[runner.rfid]
+            if (cells := cells_of.get(id(variables))) is None:
+                cells = cells_of[id(variables)] = "".join([
+                    "," if (value := variables[name]) is None else f",{value}" for name in names])
+            runner_id, _, last_name, first_name, gender, category = runner
+            if quoting:
+                last_name, first_name = _quoted(last_name), _quoted(first_name)
+            rank = place if place <= ranked else ""
+            lines.append(
+                f"{rank},{runner_id},{last_name},{first_name},{gender},{category}{cells}\r\n")
+        written.append(_write_whole(out_dir, label, lambda handle: handle.write("".join(lines))))
     return written

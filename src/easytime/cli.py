@@ -2,7 +2,10 @@
 
 ``run``, ``results`` and ``serve`` start through ``_start``, which steps the race it
 builds in place, keeping no log; ``run`` journals what it read.  A journal's torn last
-line is warned of and left out; ``serve`` also cuts it off.
+line is warned of and left out; ``serve`` also cuts it off.  ``run``, ``results``
+and each ``serve`` snapshot export through ``_export_results``, which writes one
+group's file at a time from ready-made lines; ungrouped, ``results.csv`` is always
+written, with only its header for an empty roster.
 
 Exit codes: 0 success, 1 language error (lex/parse/semantic, an unknown
 ``--rank`` variable, events aimed at unknown measuring places), 2 I/O or
@@ -37,7 +40,6 @@ from .runtime import (
     check_rank_var,
     init_race,
     place_statements,
-    result_tables,
     run_statements,
     step_events,
 )
@@ -110,12 +112,10 @@ def _out_dir(args) -> str:
 
 
 def _export_results(race, args, out_dir: str) -> None:
-    from .agents_io import write_results
+    from .agents_io import _export_race
 
-    # one group's table at a time, so an export holds about one group's rows
-    tables = result_tables(race, rank_var=args.rank, group_by=args.group)
     try:
-        write_results(tables, out_dir)
+        _export_race(race, out_dir, args.rank, args.group)
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot write results: {exc.strerror}")
 

@@ -11,6 +11,8 @@ in place on a race its caller owns, as ``run`` and ``results`` do with the race
 ``init_race`` built.  ``replay`` folds it over a copy of the race, keeping a log,
 and never mutates the old state; ``apply_event`` is its one-event case.
 ``serve`` checks each event's place before journaling it, then steps it.
+``race_results`` makes the result tables from ``_ranked_groups``, the one rule for
+how runners are grouped and ordered, which the CLI's export shares.
 """
 
 from __future__ import annotations
@@ -214,49 +216,46 @@ _GROUP_BY = {
 GROUPINGS = tuple(name for name in _GROUP_BY if name is not None)
 
 
-def result_tables(
-    race: RaceState,
-    rank_var: str | None = None,
-    group_by: str | None = None,
-):
-    """A generator of the tables of ``race_results``, in its order, made one group at a time.
+def _ranked_groups(race: RaceState, rank_var: str | None, group_by: str | None):
+    """A generator of each group's label, its runners in result order, and how many of
+    them are ranked, in the order of ``race_results``; a ranked runner's place is their
+    position in the group, counted from 1.
 
-    ``rank_var`` and ``group_by`` are checked, and the runners grouped, when this
-    is called.  Each table is made from ``race.per_runner`` as it is asked for, so
-    ``race`` must not be stepped until the generator is used up; ``serve`` exports
-    inside its sink, on its main thread, between events.  A consumer that drops each
-    table before taking the next holds about one group's rows at a time.
+    ``rank_var`` and ``group_by`` are checked, and the runners grouped, when this is
+    called; ungrouped, there is one group even with no runners.  Each group is
+    ordered from ``race.per_runner`` as it is asked for, so ``race`` must not be stepped
+    until the generator is used up; ``serve`` exports inside its sink, on its main
+    thread, between events.
     """
     check_rank_var(race.var_names, rank_var)
     if group_by is not None and group_by not in GROUPINGS:
         raise ValueError(f"unknown grouping {group_by!r}")
     key_of, label_of = _GROUP_BY[group_by]
     groups: defaultdict[object, list[Runner]] = defaultdict(list)
+    if group_by is None:
+        groups[""] = []
     for runner in race.roster:
         groups[key_of(runner)].append(runner)
-    # popped, so a group's runners go once its table is made
-    return (_result_table(race, groups.pop(key), rank_var, label_of(key)) for key in sorted(groups))
+    # popped, so a group's runners go once it is ordered
+    return ((label_of(key), *_ranked(race.per_runner, groups.pop(key), rank_var))
+            for key in sorted(groups))
 
 
-def _result_table(race: RaceState, runners: list[Runner], rank_var, label: str) -> ResultTable:
-    # entries (unranked, rank value, id, runner, variables); ids are unique, so sorting
-    # never compares the runners or their variables
-    per_runner = race.per_runner
-    entries = []
-    for runner in runners:
-        variables = per_runner[runner.rfid]
-        value = None if rank_var is None else variables[rank_var]
-        entries.append((value is None, value or 0, runner.id, runner, variables))
-    entries.sort()
-    names = race.var_names
-    # the tuple of a runner's variables at names; itemgetter needs two names to return one
-    cells = (itemgetter(*names) if len(names) > 1
-             else lambda variables: tuple(variables[name] for name in names))
-    # ranked entries sort first, so a ranked entry's place is its rank
-    rows = tuple((None if unranked else place, runner.id, runner.last_name,
-                  runner.first_name, runner.gender, runner.category) + cells(variables)
-                 for place, (unranked, _, _, runner, variables) in enumerate(entries, 1))
-    return ResultTable(label, RUNNER_COLUMNS + names, rows, rank_var)
+def _ranked(per_runner: dict[str, RunnerVars], runners: list[Runner], rank_var):
+    """``runners`` with a defined ``rank_var`` by (value, id), then the others by id, and
+    how many the first are."""
+    ranked, unranked = [], []
+    if rank_var is None:
+        unranked = runners
+    else:
+        for runner in runners:
+            if (value := per_runner[runner.rfid][rank_var]) is None:
+                unranked.append(runner)
+            else:
+                ranked.append((value, runner.id, runner))
+    ranked.sort()
+    unranked.sort()  # ids are unique, so runners compare by id alone
+    return [runner for _, _, runner in ranked] + unranked, len(ranked)
 
 
 def race_results(
@@ -266,10 +265,22 @@ def race_results(
 ) -> list[ResultTable]:
     """Result tables, one per group, in the sorted order of the group keys.
 
-    ``group_by`` is None or one of ``GROUPINGS``.  Rows sort ascending by
-    ``rank_var`` with undefined values last and runner id as tie-break; rank
-    numbers are assigned only to rows with a defined rank value.  Without
-    ``rank_var`` rows are in runner-id order and unranked.  ``result_tables``
-    makes the same tables one at a time.
+    ``group_by`` is None or one of ``GROUPINGS``; ungrouped, there is one table, with
+    no rows for an empty roster.  Rows sort ascending by ``rank_var`` with undefined
+    values last and runner id as tie-break; rank numbers are assigned only to rows
+    with a defined rank value.  Without ``rank_var`` rows are in runner-id order and
+    unranked.
     """
-    return list(result_tables(race, rank_var, group_by))
+    names = race.var_names
+    # the tuple of a runner's variables at names; itemgetter needs two names to return one
+    cells = (itemgetter(*names) if len(names) > 1
+             else lambda variables: tuple(variables[name] for name in names))
+    per_runner = race.per_runner
+    tables = []
+    for label, runners, ranked in _ranked_groups(race, rank_var, group_by):
+        rows = tuple((place if place <= ranked else None, runner.id, runner.last_name,
+                      runner.first_name, runner.gender, runner.category)
+                     + cells(per_runner[runner.rfid])
+                     for place, runner in enumerate(runners, 1))
+        tables.append(ResultTable(label, RUNNER_COLUMNS + names, rows, rank_var))
+    return tables

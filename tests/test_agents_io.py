@@ -11,11 +11,13 @@ import threading
 
 import pytest
 
-from conftest import SRC, Collector
+from conftest import SRC, Collector, peak_bytes
+from easytime import agents_io
 from easytime.agents_io import (
     MAX_LINE_BYTES,
     MalformedEventError,
     MalformedRowError,
+    _export_race,
     format_event,
     listen_auto,
     load_runners,
@@ -26,7 +28,19 @@ from easytime.agents_io import (
     write_results,
 )
 from easytime.listener import AutoAgentListener
-from easytime.runtime import GENDERS, Event, ResultTable, Runner
+from easytime.frontend import MeasuringPlace, Predicate, ProgramAst, Statement, VarDecl
+from easytime.runtime import (
+    GENDERS,
+    GROUPINGS,
+    Event,
+    ResultTable,
+    Runner,
+    UnknownVariableError,
+    init_race,
+    race_results,
+    step_events,
+)
+from easytime.semantics import StaticState, decl_sequence
 
 
 # --- roster -----------------------------------------------------------
@@ -559,3 +573,167 @@ def test_write_results_one_file_per_group(tmp_path):
     paths = write_results([sample_table(label) for label in labels], tmp_path)
     assert sorted(map(os.path.basename, paths)) == sorted(f"results_{label}.csv" for label in labels)
     assert len(paths) == 6
+
+
+# --- the export -------------------------------------------------------
+
+# the characters csv's minimal rule quotes a field for, a space and a letter
+NAME_CHARS = ',"\r\n a'
+
+
+def random_race(rng: random.Random):
+    """A program of 0, 1 or many variables of every kind, and its race over a random
+    roster, in which some runners may have names that need quoting."""
+    decls = []
+    for i in range(rng.choice((0, 1, 1, 2, 5))):
+        kind = rng.choice(("plain", "categorized", "dynamic"))
+        if kind == "plain":
+            decls.append(VarDecl(f"V{i}", kind, value=rng.randint(0, 2)))
+        elif kind == "categorized":  # categories 0 to 2, so a runner may have no arm
+            arms = tuple((c, rng.randint(0, 2)) for c in sorted(rng.sample(range(3), rng.randint(1, 2))))
+            decls.append(VarDecl(f"V{i}", kind, arms=arms))
+        else:
+            decls.append(VarDecl(f"V{i}", kind))
+    places = []
+    if decls:
+        for mp_id in (1, 2, 3):
+            stmts = tuple(
+                Statement(Predicate("true") if rng.random() < 0.6
+                          else Predicate("equals", var=rng.choice(decls).name, value=rng.randint(-1, 2)),
+                          rng.choice(("upd", "dec", "dec")), rng.choice(decls).name)
+                for _ in range(rng.randint(1, 3)))
+            places.append(MeasuringPlace(mp_id, 1, stmts))
+    ast = ProgramAst((), tuple(decls), tuple(places))
+    odd = rng.choice((0.0, 0.0, 0.3))  # the share of names with a character to quote for
+
+    def name() -> str:
+        if rng.random() < odd:
+            return "".join(rng.choice(NAME_CHARS) for _ in range(rng.randint(1, 4)))
+        return rng.choice(("Novak", " Ana", "Ivo ", "", "Maja"))
+    ids = rng.sample(range(1, 60), rng.choice((0, rng.randint(1, 14))))  # out of id order
+    roster = [Runner(rid, f"R{rid}", name(), name(), rng.choice(GENDERS), rng.randint(0, 2))
+              for rid in ids]
+    return ast, init_race(decl_sequence(list(decls), StaticState.empty()), roster)
+
+
+def step_random_events(rng: random.Random, ast, race) -> set[str]:
+    """Step up to 20 random events on ``race``, some for rfids not on the roster, and
+    return the rfids of the runners they reached; the others keep their category's
+    starting dict."""
+    if not ast.places:
+        return set()
+    rfids = [runner.rfid for runner in race.roster] + ["STRAY"]
+    events = [Event(rng.randint(1, 3), rng.choice(rfids), rng.randint(0, 30),
+                    rng.choice((None, None, rng.randint(0, 5))))
+              for _ in range(rng.randint(0, 20))]
+    return {event.rfid for event, fired in step_events(race, ast, events, []) if fired is not None}
+
+
+def files_of(out_dir) -> dict[str, bytes]:
+    return {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+
+
+def assert_export_equals_the_reference(race, rank_var, group_by, out_dir, reference_dir):
+    paths = _export_race(race, out_dir, rank_var, group_by)
+    expected = write_results(race_results(race, rank_var, group_by), reference_dir)
+    assert paths == [os.path.join(out_dir, os.path.basename(path)) for path in expected]
+    assert files_of(out_dir) == files_of(reference_dir), (rank_var, group_by)
+
+
+def what_a_race_holds(ast, race, raced: set[str]) -> set:
+    """The cases of the export's property test that ``race``, where the runners of
+    ``raced`` were reached by events, covers."""
+    names = "".join(runner.last_name + runner.first_name for runner in race.roster)
+    values = [value for variables in race.per_runner.values() for value in variables.values()]
+    return {
+        min(len(ast.decls), 2),  # 2 stands for many
+        "quoted" if any(char in names for char in ',"\r\n') else "unquoted",
+        *(("negative",) if any(value is not None and value < 0 for value in values) else ()),
+        *(("empty roster",) if not race.roster else ()),
+        # runners who raced have dicts of their own, beside a category's shared one
+        *(("raced and not",) if 0 < len(raced) < len(race.roster) else ()),
+    }
+
+
+def test_property_the_export_writes_the_files_of_write_results(tmp_path):
+    rng = random.Random(2404)
+    seen = set()
+    for n in range(80):
+        ast, race = random_race(rng)
+        seen |= what_a_race_holds(ast, race, step_random_events(rng, ast, race))
+        kinds = {decl.name: decl.kind for decl in ast.decls}
+        for rank_var in (None, *race.var_names):
+            seen.add(kinds.get(rank_var, "no rank"))
+            for group_by in (None, *GROUPINGS):
+                out = tmp_path / f"{n}-{rank_var}-{group_by}"
+                assert_export_equals_the_reference(race, rank_var, group_by, out / "export",
+                                                   out / "reference")
+    assert seen == {0, 1, 2, "quoted", "unquoted", "negative", "empty roster", "raced and not",
+                    "no rank", "plain", "categorized", "dynamic"}, seen
+
+
+def test_property_each_serve_snapshot_writes_the_files_of_write_results(tmp_path):
+    # as serve does: export, step events, export into the same directory again, so a
+    # cache that outlived an export would write the cells of a freed dict
+    rng = random.Random(2405)
+    for n in range(30):
+        ast, race = random_race(rng)
+        rank_var = rng.choice((None, *race.var_names))
+        group_by = rng.choice((None, *GROUPINGS))
+        for snapshot in range(4):
+            step_random_events(rng, ast, race)
+            assert_export_equals_the_reference(race, rank_var, group_by, tmp_path / f"served{n}",
+                                               tmp_path / f"{n}-{snapshot}")
+
+
+def test_export_of_an_empty_roster_writes_a_header_only_table_ungrouped(tmp_path):
+    race = init_race(decl_sequence([VarDecl("T", "dynamic")], StaticState.empty()), [])
+    assert _export_race(race, tmp_path, "T") == [os.path.join(tmp_path, "results.csv")]
+    assert (tmp_path / "results.csv").read_bytes() == b"rank,id,last_name,first_name,gender,category,T\r\n"
+    assert _export_race(race, tmp_path / "grouped", "T", "category") == []
+
+
+def test_export_checks_rank_and_grouping_before_writing(tmp_path):
+    race = init_race(decl_sequence([VarDecl("T", "dynamic")], StaticState.empty()),
+                     [Runner(1, "R1", "Novak", "Ana", "female", 1)])
+    with pytest.raises(UnknownVariableError):
+        _export_race(race, tmp_path / "out", rank_var="NOPE")
+    with pytest.raises(ValueError):
+        _export_race(race, tmp_path / "out", group_by="shoe-size")
+    assert not (tmp_path / "out").exists()
+
+
+def test_export_keeps_the_old_table_when_a_write_fails(tmp_path, monkeypatch):
+    race = init_race(decl_sequence([VarDecl("T", "dynamic")], StaticState.empty()),
+                     [Runner(1, "R1", "Novak", "Ana", "female", 1)])
+    _export_race(race, tmp_path, "T")
+    before = (tmp_path / "results.csv").read_bytes()
+    race.per_runner["R1"] = {"T": 5000}
+
+    def open_on_a_full_disk(*args, **kwargs):
+        handle = open(*args, **kwargs)  # the part file is made, then the write fails
+
+        def write(text):
+            raise OSError(28, "No space left on device")
+        handle.write = write
+        return handle
+    monkeypatch.setattr(agents_io, "open", open_on_a_full_disk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        _export_race(race, tmp_path, "T")
+    assert (tmp_path / "results.csv").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
+
+def test_export_holds_one_group_at_a_time(tmp_path):
+    state = decl_sequence([VarDecl("T", "dynamic"), VarDecl("N", "plain", value=1)],
+                          StaticState.empty())
+    roster = [Runner(i, f"R{i}", f"Last{i % 50}", f"First{i % 40}", GENDERS[i % 2], i // 2 % 10)
+              for i in range(20_000)]
+    race = init_race(state, roster)
+    for rfid in list(race.per_runner)[::2]:
+        race.per_runner[rfid] = {"T": hash(rfid) % 1000, "N": 1}
+
+    exported = peak_bytes(lambda: _export_race(race, tmp_path, "T", "category-gender"))
+    assert len(os.listdir(tmp_path)) == 20
+    whole = peak_bytes(lambda: race_results(race, "T", "category-gender"))
+    assert exported < whole / 3, (exported, whole)

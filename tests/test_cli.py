@@ -135,6 +135,23 @@ def test_run_empty_event_log_keeps_initial_values(tmp_path):
     assert rows[6] == ",6,Oblak,Jan,male,3,0,9"
 
 
+def test_run_and_results_of_an_empty_roster_replace_an_earlier_table(tmp_path):
+    roster = tmp_path / "roster.csv"
+    roster.write_text("id,rfid,last_name,first_name,gender,category\n")
+    empty = tmp_path / "empty.log"
+    empty.write_text("")
+    header = b"rank,id,last_name,first_name,gender,category,ROUND,RUN,PENALTY\r\n"
+    out, again = tmp_path / "out", tmp_path / "again"
+    for directory in (out, again):  # an earlier race's table in the same directory
+        directory.mkdir()
+        (directory / "results.csv").write_bytes(header + b"1,1,Novak,Ana,female,1,0,5000,\r\n")
+    common = (PROGRAMS / "biathlon.ez", "--runners", roster, "--rank", "RUN")
+    assert run_cli("run", *common, "--events", empty, "--out", out) == 0
+    assert run_cli("results", *common, "--journal", out / "journal.log", "--out", again) == 0
+    for directory in (out, again):
+        assert (directory / "results.csv").read_bytes() == header
+
+
 def test_run_unknown_mp_names_event_index(tmp_path, capsys):
     log = tmp_path / "events.log"
     log.write_text("1,CC001,100\n9,CC001,200\n")

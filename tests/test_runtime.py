@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from conftest import peak_bytes, program_source, random_program
+from conftest import program_source, random_program
 from easytime.diagnostics import WARNING, Diagnostic
 from easytime.frontend import Predicate, Statement, VarDecl, parse_source
 from easytime.langdef import LexRule, easytime_base, easytime_pp
 from easytime.runtime import (
-    GENDERS,
     GROUPINGS,
     RUNNER_COLUMNS,
     DuplicateRfidError,
@@ -23,7 +22,6 @@ from easytime.runtime import (
     init_race,
     race_results,
     replay,
-    result_tables,
     run_statements,
     step_events,
 )
@@ -313,12 +311,17 @@ def test_race_results_grouping():
 
 def test_race_results_rejects_unknown_rank_var():
     race = finished_cyclo_race()
-    # result_tables checks when called, before the first table is asked for
-    for results in (race_results, result_tables):
-        with pytest.raises(UnknownVariableError):
-            results(race, rank_var="NOPE")
-        with pytest.raises(ValueError):
-            results(race, group_by="shoe-size")
+    with pytest.raises(UnknownVariableError):
+        race_results(race, rank_var="NOPE")
+    with pytest.raises(ValueError):
+        race_results(race, group_by="shoe-size")
+
+
+def test_race_results_of_an_empty_roster_is_one_empty_table_ungrouped():
+    _, state = compiled("cyclocross")
+    race = init_race(state, [])
+    assert race_results(race, rank_var="BIKE") == [("", RUNNER_COLUMNS + ("BIKE", "ROUND1"), (), "BIKE")]
+    assert all(race_results(race, group_by=group_by) == [] for group_by in GROUPINGS)
 
 
 def test_log_records_fired_statements():
@@ -527,23 +530,4 @@ def test_property_race_results_equal_the_direct_reference():
                 tables = race_results(race, rank_var=rank_var, group_by=group_by)
                 got = [(t.label, t.columns, t.rows, t.rank_var) for t in tables]
                 assert got == reference_results(race, rank_var, group_by)
-                assert list(result_tables(race, rank_var, group_by)) == tables
     assert {0, 1, 2} <= sizes  # no variables, one variable, and more
-
-
-def test_result_tables_hold_one_group_at_a_time():
-    state = decl_sequence([VarDecl("T", "dynamic"), VarDecl("N", "plain", value=1)],
-                          StaticState.empty())
-    roster = [Runner(i, f"R{i}", f"Last{i % 50}", f"First{i % 40}", GENDERS[i % 2], i // 2 % 10)
-              for i in range(20_000)]
-    race = init_race(state, roster)
-    for rfid in list(race.per_runner)[::2]:
-        race.per_runner[rfid] = {"T": hash(rfid) % 1000, "N": 1}
-
-    def stream():
-        for table in result_tables(race, "T", "category-gender"):
-            assert len(table.rows) == 1_000
-    assert len(race_results(race, "T", "category-gender")) == 20
-    streamed = peak_bytes(stream)
-    whole = peak_bytes(lambda: race_results(race, "T", "category-gender"))
-    assert streamed < whole / 3, (streamed, whole)

@@ -31,7 +31,7 @@ HOMES = {
     "easytime.frontend": ("ProgramAst", "parse", "parse_source", "pretty", "tokenize"),
     "easytime.semantics": ("StaticState", "analyze", "decl_meaning", "decl_sequence"),
     "easytime.runtime": ("Event", "RaceState", "Runner", "apply_event", "eval_predicate",
-                         "init_race", "race_results", "replay", "result_tables"),
+                         "init_race", "race_results", "replay"),
     "easytime.agents_io": ("listen_auto", "load_runners", "read_event_log", "write_results"),
 }
 
