@@ -12,6 +12,7 @@ in ``listener``, which ``serve`` and ``listen_auto`` import when they start
 listening, so only they load the socket modules.  It serves many connections on
 one thread and hands events to its sink one at a time, in arrival order:
 ``serve`` runs it on the main thread, ``listen_auto`` on a thread of its own.
+A malformed roster row or event line raises a ``runtime.InputError`` subclass.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
-from .runtime import GENDERS, RUNNER_COLUMNS, Event, ResultTable, Runner, _ranked_groups
+from .runtime import GENDERS, RUNNER_COLUMNS, Event, InputError, ResultTable, Runner, _ranked_groups
 
 ROSTER_HEADER = ["id", "rfid", "last_name", "first_name", "gender", "category"]
 
@@ -31,19 +32,17 @@ ROSTER_HEADER = ["id", "rfid", "last_name", "first_name", "gender", "category"]
 MAX_LINE_BYTES = 4096
 
 
-class MalformedRowError(Exception):
+class MalformedRowError(InputError):
     def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+        super().__init__(f"line {line}: {reason}", reason)
         self.line = line
-        self.reason = reason
 
 
-class MalformedEventError(Exception):
+class MalformedEventError(InputError):
     def __init__(self, reason: str, line: int | None = None):
         at = f"line {line}: " if line is not None else ""
-        super().__init__(f"{at}{reason}")
+        super().__init__(f"{at}{reason}", reason)
         self.line = line
-        self.reason = reason
 
 
 def load_runners(path: str | os.PathLike) -> list[Runner]:

@@ -9,10 +9,10 @@ written, with only its header for an empty roster.
 
 Exit codes: 0 success, 1 language error (lex/parse/semantic, an unknown
 ``--rank`` variable, events aimed at unknown measuring places), 2 I/O or
-data-file error.  A failing step raises ``_Failure`` with its exit code and
-message; ``main`` alone prints ``error: <message>`` and returns the code.
-The one failure that does not end a command is a ``serve`` snapshot export,
-which is reported and serving goes on.
+data-file error (a ``runtime.InputError`` raised reading a roster or event file).
+A failing step raises ``_Failure`` with its exit code and message; ``main`` alone
+prints ``error: <message>`` and returns the code.  The one failure that does not
+end a command is a ``serve`` snapshot export, which is reported and serving goes on.
 
 Each command loads the layers it runs: ``check`` the compiler (``langdef``,
 ``diagnostics``, ``frontend``, ``semantics``) and ``runtime``, whose groupings and
@@ -33,8 +33,7 @@ from .frontend import LexError, ParseError, parse_source
 from .langdef import easytime_base, easytime_pp
 from .runtime import (
     GROUPINGS,
-    DuplicateRfidError,
-    DuplicateRunnerIdError,
+    InputError,
     UnknownMeasuringPlaceError,
     UnknownVariableError,
     check_rank_var,
@@ -49,7 +48,7 @@ EXIT_OK = 0
 EXIT_LANG = 1
 EXIT_IO = 2
 
-DIALECTS = ("easytime", "easytime++")
+DIALECTS = {"easytime": easytime_base, "easytime++": easytime_pp}  # name -> its language
 JOURNAL_NAME = "journal.log"
 
 
@@ -59,10 +58,6 @@ class _Failure(Exception):
     def __init__(self, status: int, message: str = ""):
         super().__init__(message)
         self.status = status
-
-
-def _language(dialect: str):
-    return easytime_base() if dialect == "easytime" else easytime_pp()
 
 
 def _read_source(path: str) -> str:
@@ -77,21 +72,15 @@ def _read(path, reader):
         return reader(path)
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot read {path}: {exc.strerror}")
-    except _data_errors() as exc:
+    except InputError as exc:
         raise _Failure(EXIT_IO, f"{path}: {exc}")
-
-
-def _data_errors() -> tuple:
-    # called only once a reader has raised, so check's read of its source loads no agents_io
-    from .agents_io import MalformedEventError, MalformedRowError
-    return MalformedRowError, MalformedEventError, DuplicateRfidError, DuplicateRunnerIdError
 
 
 def _compile(path: str, dialect: str):
     """Parse and analyze, printing diagnostics; returns (ast, state)."""
     source = _read(path, _read_source)
     try:
-        ast = parse_source(source, _language(dialect))
+        ast = parse_source(source, DIALECTS[dialect]())
     except (LexError, ParseError) as exc:
         diags = [Diagnostic(ERROR, type(exc).__name__, exc.message, exc.line, exc.column)]
     else:
@@ -191,7 +180,7 @@ def _resume_journal(path) -> list:
 
 
 def cmd_serve(args) -> None:
-    from .agents_io import MalformedEventError, format_event
+    from .agents_io import format_event
     from .listener import AutoAgentListener  # the socket modules load for serve alone
 
     out_dir = _out_dir(args)
@@ -211,10 +200,7 @@ def cmd_serve(args) -> None:
     # runs on the main thread, in the listener's loop; the listener acks only after it returns
     def sink(event):
         nonlocal applied
-        try:
-            stmts = statements(event)
-        except UnknownMeasuringPlaceError as exc:  # refused by run's rule; the listener replies ERR
-            raise MalformedEventError(f"no measuring place {exc.mp_id}") from None
+        stmts = statements(event)  # run's rule; the listener answers its refusal with ERR
         journal.write(format_event(event) + "\n")
         journal.flush()
         # only once journaled, so live state never runs ahead of the journal; serve owns the

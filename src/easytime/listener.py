@@ -10,7 +10,8 @@ import socket
 import threading
 import time
 
-from .agents_io import MAX_LINE_BYTES, MalformedEventError, parse_event_line, split_lines
+from .agents_io import MAX_LINE_BYTES, parse_event_line, split_lines
+from .runtime import InputError
 
 logger = logging.getLogger(__name__)
 ACCEPT_RETRY_S = 0.1  # out of descriptors with no connection to close, the wait between accepts
@@ -23,12 +24,12 @@ class AutoAgentListener:
     the sink in arrival order until ``stop``.  Lines are framed by ``split_lines`` and read
     by ``parse_event_line``, as in event files: a blank or ``#`` line gets no reply, and any
     other is answered ``OK`` after the sink returns, or ``ERR <reason>`` if it is malformed
-    or the sink raises; the connection stays open.  A sink refuses an event by raising
-    ``MalformedEventError``; other exceptions are logged too.  A client whose unterminated
-    line exceeds ``MAX_LINE_BYTES``, or who leaves replies unread until the kernel takes no
-    more, is cut off.  Out of descriptors, the connection idle longest is closed to make
-    room for a new one; with none open, the accept is retried every ``ACCEPT_RETRY_S``
-    seconds, so serving goes on once a descriptor is free.
+    or the sink raises; the connection stays open.  A sink refuses an event by raising a
+    ``runtime.InputError``; other exceptions are logged too.  A line longer than
+    ``MAX_LINE_BYTES``, ended or not, cuts its client off once the lines before it are
+    answered, as does leaving replies unread until the kernel takes no more.  Out of
+    descriptors, the connection idle longest is closed to make room for a new one; with
+    none open, the accept is retried every ``ACCEPT_RETRY_S`` seconds.
     """
 
     def __init__(self, port: int, sink):
@@ -92,13 +93,17 @@ class AutoAgentListener:
             chunk = b""
         lines, data[0] = split_lines(data[0] + chunk)
         data[1] = time.monotonic()
-        out = "".join(self._handle(line) for line in lines if not self._stopping)
+        out, too_long = "", False
+        for line in lines:  # a line past MAX_LINE_BYTES, ended or not, cuts the client off
+            if self._stopping or (too_long := len(line) > MAX_LINE_BYTES + 1):  # + its "\n"
+                break
+            out += self._handle(line)
         try:
             # never wait on a client that leaves its replies unread: drop it
             sent = conn.send(out.encode("ascii", errors="replace")) if out else 0
         except OSError:
             sent = 0
-        if not chunk or sent < len(out) or len(data[0]) > MAX_LINE_BYTES:
+        if not chunk or sent < len(out) or too_long or len(data[0]) > MAX_LINE_BYTES:
             self._close(conn)
 
     def _close(self, conn: socket.socket) -> None:
@@ -110,7 +115,7 @@ class AutoAgentListener:
             if (event := parse_event_line(line)) is None:
                 return ""  # a blank or comment line
             self._sink(event)
-        except MalformedEventError as exc:  # a line that does not parse, or a refused event
+        except InputError as exc:  # a line that does not parse, or a refused event
             return f"ERR {exc.reason}\n"
         except Exception as exc:
             logger.exception("event sink failed")

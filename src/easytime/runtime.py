@@ -28,17 +28,26 @@ GENDERS = ("female", "male")
 RunnerVars = dict[str, "int | None"]
 
 
-class DuplicateRfidError(Exception):
+class InputError(Exception):
+    """Refused input; ``reason``, the message unless given, follows ``ERR `` on the wire."""
+
+    def __init__(self, message: str, reason: str | None = None):
+        super().__init__(message)
+        self.reason = message if reason is None else reason
+
+
+class DuplicateRfidError(InputError):
     pass
 
 
-class DuplicateRunnerIdError(Exception):
+class DuplicateRunnerIdError(InputError):
     pass
 
 
-class UnknownMeasuringPlaceError(Exception):
+class UnknownMeasuringPlaceError(InputError):
     def __init__(self, mp_id: int, index: int):
-        super().__init__(f"event {index}: no measuring place {mp_id} in program")
+        super().__init__(f"event {index}: no measuring place {mp_id} in program",
+                         f"no measuring place {mp_id}")
         self.mp_id = mp_id
         self.index = index
 
@@ -96,7 +105,7 @@ def init_race(state: StaticState, roster: list[Runner] | tuple[Runner, ...]) -> 
                 f" category {runner.category} in {name}"))
         per_runner[runner.rfid] = variables
 
-    return RaceState(tuple(roster), state.names(), per_runner, warnings=tuple(warnings))
+    return RaceState(tuple(roster), tuple(state.env), per_runner, warnings=tuple(warnings))
 
 
 def _category_template(state: StaticState, category: int) -> tuple[RunnerVars, list[str]]:

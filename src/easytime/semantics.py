@@ -49,27 +49,13 @@ VarMeta = namedtuple("VarMeta", "name values is_dynamic")
 
 
 class StaticState(namedtuple("StaticState", "env")):
-    """Finite map from variable name to metadata; insertion order preserved."""
+    """``env``, the finite map from variable name to ``VarMeta``, in declaration order."""
 
     __slots__ = ()
-
-    def __new__(cls, env: dict[str, VarMeta] | None = None):
-        return super().__new__(cls, {} if env is None else env)
 
     @classmethod
     def empty(cls) -> "StaticState":
         return cls({})
-
-    def bind(self, meta: VarMeta) -> "StaticState":
-        new_env = dict(self.env)
-        new_env[meta.name] = meta
-        return StaticState(new_env)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.env)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.env
 
 
 class DuplicateDeclarationError(Exception):
@@ -82,20 +68,18 @@ class DuplicateDeclarationError(Exception):
 
 def decl_meaning(decl: VarDecl, state: StaticState) -> StaticState:
     """Bind one declaration into the state; rebinding a name is an error."""
-    if decl.name in state:
+    if decl.name in state.env:
         raise DuplicateDeclarationError(decl.name, decl.line, decl.column)
     if decl.kind == "plain":
         values = CategoryMap.constant(decl.value)
-        dynamic = False
     elif decl.kind == "categorized":
-        values = CategoryMap.of_arms(dict(decl.arms))
-        dynamic = False
+        values = CategoryMap.of_arms(decl.arms)
     elif decl.kind == "dynamic":
         values = CategoryMap.undefined()
-        dynamic = True
     else:
         raise ValueError(f"unknown declaration kind {decl.kind!r}")
-    return state.bind(VarMeta(decl.name, values, dynamic))
+    meta = VarMeta(decl.name, values, decl.kind == "dynamic")
+    return StaticState({**state.env, decl.name: meta})
 
 
 def decl_sequence(decls, state: StaticState) -> StaticState:
@@ -144,14 +128,14 @@ def analyze(ast: ProgramAst) -> tuple[StaticState, list[Diagnostic]]:
                                     place.line, place.column))
         for stmt in place.stmts:
             referenced.add(stmt.target)
-            if stmt.target not in state:
+            if stmt.target not in state.env:
                 diags.append(Diagnostic(ERROR, "UndeclaredVariable",
                                         f"{stmt.instr} targets undeclared"
                                         f" variable {stmt.target}",
                                         stmt.line, stmt.column))
             if stmt.pred.kind == "equals":
                 referenced.add(stmt.pred.var)
-                if stmt.pred.var not in state:
+                if stmt.pred.var not in state.env:
                     diags.append(Diagnostic(ERROR, "UndeclaredVariable",
                                             f"predicate tests undeclared"
                                             f" variable {stmt.pred.var}",

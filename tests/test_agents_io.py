@@ -37,6 +37,7 @@ from easytime.runtime import (
     Runner,
     UnknownVariableError,
     init_race,
+    place_statements,
     race_results,
     step_events,
 )
@@ -371,9 +372,10 @@ def wire_replies(port: int, data: bytes) -> list[str]:
     (b"\x1c3,TAG007,61000\x1c\n", Event(3, "TAG007", 61000)),
     (b"\x1c\n", None),
     (b"1,A,5\r2,A,6\n", [Event(1, "A", 5), Event(2, "A", 6)]),
+    (b"3,TAG007,61000,-1\n", "payload must be >= 0, got -1"),
 ], ids=["valid", "crlf-spaced-payload", "blank", "whitespace", "comment", "malformed",
         "utf8-field", "latin1-field", "utf8-comment", "nbsp", "x1c-around", "x1c-only",
-        "bare-cr"])
+        "bare-cr", "negative-payload"])
 def test_a_line_means_the_same_in_a_file_and_on_the_wire(tmp_path, line, meaning):
     # an Event (or each of a list) is answered OK and reaches the sink, a reason is
     # answered ERR, and a skipped line (None) gets no reply and reaches no sink
@@ -455,6 +457,36 @@ def test_listener_cuts_off_overlong_line_only_for_that_client():
                 chat.flush()
                 assert chat.readline().strip() == "OK"
     assert sink.events == [Event(3, "TAG007", 1000), Event(3, "TAG007", 2000)]
+
+
+def test_listener_answers_input_refused_by_its_sink_with_its_reason(caplog):
+    def sink(event: Event) -> None:
+        place_statements(ProgramAst((), (), ()))(event)  # a program with no places
+
+    with listen_auto(0, sink) as listener:
+        assert wire_replies(listener.port, b"9,TAG007,1000\n") == ["ERR no measuring place 9"]
+    assert not [record for record in caplog.records if record.levelname == "ERROR"]
+
+
+OVERLONG = b"1,A," + b"1" * 4996 + b"\n"  # 5,000 bytes before its newline
+
+
+@pytest.mark.parametrize("first, second", [
+    (b"1,A,5\n" + OVERLONG + b"1,A,6\n", b""),
+    (b"1,A,5\n" + OVERLONG[:3000], OVERLONG[3000:] + b"1,A,6\n"),
+], ids=["one-write", "newline-in-a-second-write"])
+def test_listener_cuts_off_an_overlong_line_however_its_bytes_were_split(first, second):
+    # the line before it is answered; it and the line after it reach no sink
+    sink = Collector()
+    with listen_auto(0, sink) as listener:
+        with connect(listener.port) as (sock, _):
+            sock.sendall(first)
+            assert sock.recv(16) == b"OK\n"
+            # closed with bytes unread, the connection may be reset
+            with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+                sock.sendall(second)  # once the listener has read the first write
+                assert sock.recv(16) == b""
+    assert sink.events == [Event(1, "A", 5)]
 
 
 def test_listener_adds_no_thread_per_connection():

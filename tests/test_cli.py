@@ -260,6 +260,21 @@ def test_a_roster_rfid_and_the_same_rfid_spaced_are_a_duplicate(tmp_path, capsys
     assert capsys.readouterr().err == f"error: {roster}: rfid BI001 appears twice in roster\n"
 
 
+@pytest.mark.parametrize("command, source, message", [
+    ("run", ("--events", EVENTS / "biathlon.log"), "cannot write journal: File exists"),
+    ("results", ("--journal", EVENTS / "biathlon.log"), "cannot write results: File exists"),
+    ("serve", ("--port", "0"), "cannot open journal: File exists"),
+], ids=["run", "results", "serve"])
+def test_an_out_path_that_is_a_file_is_an_io_error(tmp_path, capsys, command, source, message):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    status = run_cli(command, PROGRAMS / "biathlon.ez", "--runners", ROSTERS / "biathlon.csv",
+                     *source, "--out", out)
+    assert status == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")  # serve fails before it binds
+    assert out.read_text() == "kept\n"
+
+
 def test_run_unknown_rank_variable(tmp_path, capsys):
     status = run_cli(
         "run", PROGRAMS / "cyclocross.ez",

@@ -375,3 +375,14 @@ def test_add_names_its_payload_after_its_target(label):
             (Modifier(ADD, "Foo"), payload("Bar")),
             (Modifier(ADD, "Foo"), payload("Foo")),
         ))
+
+
+def test_validate_rejects_a_left_hand_side_that_is_not_all_caps():
+    lang = LanguageDef(
+        "t",
+        (LexRule("Int", "[0-9]+", 10),),
+        {"G": RuleGroup("G", (prod("S", "#Int", "s"), prod("lower", "#Int", "k")))},
+        "S",
+    )
+    assert validate_language(lang) == [Diagnostic(
+        ERROR, "InvalidNonterminal", "left-hand side lower is not all-caps")]

@@ -105,9 +105,9 @@ def test_decl_meaning_does_not_mutate_input_state():
     env_copy = dict(before.env)
     decl_meaning(PROGRAM3_DECLS[2], before)
     assert before.env == env_copy
-    # a state made without an env gets a dict of its own, as empty() does
-    assert StaticState() == StaticState.empty() == StaticState(env={})
-    assert StaticState().env is not StaticState().env
+    # each empty state gets a dict of its own
+    assert StaticState.empty() == StaticState(env={})
+    assert StaticState.empty().env is not StaticState.empty().env
 
 
 def test_analyze_ironman_is_clean():
