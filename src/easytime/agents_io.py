@@ -5,9 +5,12 @@ push the same lines over TCP.  ``split_lines`` is the one rule for where a line
 ends, and ``parse_event_line`` the one rule for a line
 ``mp,rfid,timestamp_ms[,payload]``, on every transport.  ``read_journal`` reads
 a file of them as ``read_event_log`` does, less a torn last line.  Rosters and
-results are CSV.  ``write_results`` writes result tables with the csv module;
-``_export_race``, the export of ``run``, ``results`` and ``serve``, writes the same
-bytes from ready-made lines, without building the tables.  The TCP listener lives
+results are CSV.  ``load_runners`` checks a roster by column, a block of lines at a
+time, and reads row by row with the csv module only what holds a quote or fails a
+check, so the row loop names every fault.  ``write_results`` writes result tables
+with the csv module; ``_export_race``, the export of ``run``, ``results`` and
+``serve``, writes the same bytes from ready-made lines, without building the
+tables.  The TCP listener lives
 in ``listener``, which ``serve`` and ``listen_auto`` import when they start
 listening, so only they load the socket modules.  It serves many connections on
 one thread and hands events to its sink one at a time, in arrival order:
@@ -22,11 +25,16 @@ import csv
 import io
 import os
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, repeat
 
 from .runtime import GENDERS, RUNNER_COLUMNS, Event, InputError, ResultTable, Runner, _ranked_groups
 
 ROSTER_HEADER = ["id", "rfid", "last_name", "first_name", "gender", "category"]
+_HEADER_LINE = ",".join(ROSTER_HEADER)
+_GENDERS = {gender: gender for gender in GENDERS}  # runners share one string per gender
+
+# characters of a roster checked at a time by column, before the rest of their last line
+BLOCK_CHARS = 16384
 
 # longest unterminated line a client may send; real event lines are < 100 bytes
 MAX_LINE_BYTES = 4096
@@ -47,48 +55,107 @@ class MalformedEventError(InputError):
 
 def load_runners(path: str | os.PathLike) -> list[Runner]:
     """Read and validate a roster CSV, refusing a line with a NUL or a non-ASCII byte
-    as csv reads it; ``init_race`` checks ids and rfids are unique."""
-    genders = {gender: gender for gender in GENDERS}  # runners share one string per gender
+    as csv reads it; ``init_race`` checks ids and rfids are unique.
+
+    A roster that holds no ``"`` is checked a block of whole lines at a time, by column
+    (``_block_runners``).  A block that fails a check, and everything from the first
+    block with a quote on, is read by ``_read_rows``, one csv record at a time, which
+    raises every error, so either path gives the same runners and the same errors."""
     runners: list[Runner] = []
     # latin-1 gives one character per byte, so a non-ASCII byte is seen on its line
     with open(path, newline="", encoding="latin-1") as handle:
-        reader = csv.reader(_ascii_lines(handle))
-        try:
-            if next(reader, None) != ROSTER_HEADER:
-                raise MalformedRowError(1, f"header must be {','.join(ROSTER_HEADER)}")
-            end = reader.line_num  # a quoted field may span lines: name where a record starts
-            for row in reader:
-                lineno, end = end + 1, reader.line_num
-                if not row:
-                    continue
-                if len(row) != len(ROSTER_HEADER):
-                    raise MalformedRowError(lineno, f"expected {len(ROSTER_HEADER)} fields, got {len(row)}")
-                raw_id, rfid, last_name, first_name, raw_gender, raw_category = row
-                try:
-                    runner_id = int(raw_id)
-                except ValueError:
-                    raise MalformedRowError(lineno, f"id {raw_id!r} is not an integer") from None
-                if not (rfid := rfid.strip()):  # stripped as an event line's rfid is
-                    raise MalformedRowError(lineno, "empty rfid")
-                if (gender := genders.get(raw_gender)) is None:
-                    raise MalformedRowError(
-                        lineno, f"gender must be one of {'/'.join(GENDERS)}, got {raw_gender!r}")
-                try:
-                    category = int(raw_category)
-                except ValueError:
-                    raise MalformedRowError(lineno, f"category {raw_category!r} is not an integer") from None
-                if category < 0:
-                    raise MalformedRowError(lineno, f"category must be >= 0, got {category}")
-                runners.append(Runner(runner_id, rfid, last_name, first_name, gender, category))
-        except csv.Error as exc:  # a field past the csv module's size limit
-            raise MalformedRowError(reader.line_num, str(exc)) from None
+        if handle.readline().rstrip("\r\n") != _HEADER_LINE:
+            handle.seek(0)
+            _read_rows(handle, runners)  # refuses it, unless csv reads it as ours (quoted, say)
+            return runners
+        lineno = 2  # of the block's first line
+        while text := handle.read(BLOCK_CHARS):
+            text += handle.readline()  # a block ends on a line end, a "\r\n" not cut in two
+            if '"' in text:  # a quoted field may span lines, blocks included
+                _read_rows(chain(io.StringIO(text, newline=""), handle), runners, lineno)
+                break
+            if (block := _block_runners(text)) is None:
+                _read_rows(io.StringIO(text, newline=""), runners, lineno)
+            else:
+                runners += block
+            lineno += text.count("\n") + text.count("\r") - text.count("\r\n")
     return runners
 
 
-def _ascii_lines(lines: Iterable[str]) -> Iterator[str]:
-    """``lines``, refusing one with a NUL (which csv refuses only before Python 3.11)
-    or a non-ASCII character."""
-    for lineno, line in enumerate(lines, start=1):
+def _block_runners(text: str) -> list[Runner] | None:
+    """The runners of ``text``, whole quote-free lines after the header, or None if a
+    line is not a plain valid row: ``_read_rows`` then reads the block and names the fault."""
+    if "\0" in text or not text.isascii() or len(text) > csv.field_size_limit():
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    body = text[:-1] if text.endswith("\n") else text
+    rows = body.count("\n") + 1
+    # each line after the first starts its id field with "\n", which int() strips: the
+    # lines have six fields each exactly when every "\n" lands in the id column
+    fields = body.replace("\n", ",\n").split(",")
+    width = len(ROSTER_HEADER)
+    raw_ids = fields[0::width]
+    if len(fields) != width * rows or "".join(raw_ids).count("\n") != rows - 1:
+        return None
+    rfids = list(map(str.strip, fields[1::width]))  # stripped as an event line's rfid is
+    raw_genders = fields[4::width]
+    if "" in rfids or not _GENDERS.keys() >= set(raw_genders):
+        return None
+    try:
+        ids = list(map(int, raw_ids))
+        categories = list(map(int, fields[5::width]))
+    except ValueError:
+        return None
+    if min(categories) < 0:
+        return None
+    return list(map(tuple.__new__, repeat(Runner), zip(
+        ids, rfids, fields[2::width], fields[3::width], map(_GENDERS.__getitem__, raw_genders),
+        categories)))
+
+
+def _read_rows(lines: Iterable[str], runners: list[Runner], first_line: int = 1) -> None:
+    """Append the runners of the csv records in ``lines`` to ``runners``; ``first_line``
+    is the number of the first line, and line 1 is the header."""
+    reader = csv.reader(_ascii_lines(lines, first_line))
+    end = first_line - 1
+    try:
+        if first_line == 1:
+            if next(reader, None) != ROSTER_HEADER:
+                raise MalformedRowError(1, f"header must be {_HEADER_LINE}")
+            end = reader.line_num
+        for row in reader:
+            # a quoted field may span lines: name where a record starts
+            lineno, end = end + 1, first_line - 1 + reader.line_num
+            if not row:
+                continue
+            if len(row) != len(ROSTER_HEADER):
+                raise MalformedRowError(lineno, f"expected {len(ROSTER_HEADER)} fields, got {len(row)}")
+            raw_id, rfid, last_name, first_name, raw_gender, raw_category = row
+            try:
+                runner_id = int(raw_id)
+            except ValueError:
+                raise MalformedRowError(lineno, f"id {raw_id!r} is not an integer") from None
+            if not (rfid := rfid.strip()):  # stripped as an event line's rfid is
+                raise MalformedRowError(lineno, "empty rfid")
+            if (gender := _GENDERS.get(raw_gender)) is None:
+                raise MalformedRowError(
+                    lineno, f"gender must be one of {'/'.join(GENDERS)}, got {raw_gender!r}")
+            try:
+                category = int(raw_category)
+            except ValueError:
+                raise MalformedRowError(lineno, f"category {raw_category!r} is not an integer") from None
+            if category < 0:
+                raise MalformedRowError(lineno, f"category must be >= 0, got {category}")
+            runners.append(Runner(runner_id, rfid, last_name, first_name, gender, category))
+    except csv.Error as exc:  # a field past the csv module's size limit
+        raise MalformedRowError(first_line - 1 + reader.line_num, str(exc)) from None
+
+
+def _ascii_lines(lines: Iterable[str], first_line: int) -> Iterator[str]:
+    """``lines``, the first numbered ``first_line``, refusing one with a NUL (which csv
+    refuses only before Python 3.11) or a non-ASCII character."""
+    for lineno, line in enumerate(lines, start=first_line):
         if "\0" in line:
             raise MalformedRowError(lineno, "line contains NUL")
         if not line.isascii():

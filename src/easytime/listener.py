@@ -1,19 +1,23 @@
-"""TCP listener for automatic agents, loaded by ``serve`` and ``agents_io.listen_auto``."""
+"""TCP listener for automatic agents, loaded by ``serve`` and ``agents_io.listen_auto``.
+
+``logging`` loads only to log a failed sink.  A record below WARNING is made only if
+``logging`` is already loaded: until then no handler exists, and logging's last resort
+would drop the record anyway.
+"""
 
 from __future__ import annotations
 
 import errno
-import logging
 import select
 import selectors
 import socket
+import sys
 import threading
 import time
 
 from .agents_io import MAX_LINE_BYTES, parse_event_line, split_lines
 from .runtime import InputError
 
-logger = logging.getLogger(__name__)
 ACCEPT_RETRY_S = 0.1  # out of descriptors with no connection to close, the wait between accepts
 
 
@@ -50,7 +54,7 @@ class AutoAgentListener:
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._server, selectors.EVENT_READ)
         self._selector.register(self._wake_r, selectors.EVENT_READ)
-        logger.info("listening on port %d", self.port)
+        _log("info", "listening on port %d", self.port)
 
     def serve(self) -> None:
         """Serve on the calling thread until ``stop``, then close every socket."""
@@ -81,7 +85,7 @@ class AutoAgentListener:
                 else:  # the server stays readable, so wait, not spin; stop() ends the wait
                     select.select([self._wake_r], [], [], ACCEPT_RETRY_S)
             return
-        logger.debug("connection from %s", addr)
+        _log("debug", "connection from %s", addr)
         conn.setblocking(False)
         # a connection's data: its unterminated rest, and the monotonic time of its last read
         self._selector.register(conn, selectors.EVENT_READ, [b"", time.monotonic()])
@@ -118,7 +122,9 @@ class AutoAgentListener:
         except InputError as exc:  # a line that does not parse, or a refused event
             return f"ERR {exc.reason}\n"
         except Exception as exc:
-            logger.exception("event sink failed")
+            import logging
+
+            logging.getLogger(__name__).exception("event sink failed")
             return f"ERR {' '.join(str(exc).split())}\n"
         return "OK\n"
 
@@ -143,3 +149,9 @@ class AutoAgentListener:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+def _log(level: str, message: str, *args) -> None:
+    """Log a record below WARNING at ``level``, if ``logging`` is loaded."""
+    if (logging := sys.modules.get("logging")) is not None:
+        getattr(logging.getLogger(__name__), level)(message, *args)

@@ -68,7 +68,12 @@ class DuplicateDeclarationError(Exception):
 
 def decl_meaning(decl: VarDecl, state: StaticState) -> StaticState:
     """Bind one declaration into the state; rebinding a name is an error."""
-    if decl.name in state.env:
+    return StaticState({**state.env, decl.name: _meta(decl, state.env)})
+
+
+def _meta(decl: VarDecl, env: dict[str, VarMeta]) -> VarMeta:
+    """What ``decl`` binds its name to, given the bindings ``env`` before it."""
+    if decl.name in env:
         raise DuplicateDeclarationError(decl.name, decl.line, decl.column)
     if decl.kind == "plain":
         values = CategoryMap.constant(decl.value)
@@ -78,8 +83,7 @@ def decl_meaning(decl: VarDecl, state: StaticState) -> StaticState:
         values = CategoryMap.undefined()
     else:
         raise ValueError(f"unknown declaration kind {decl.kind!r}")
-    meta = VarMeta(decl.name, values, decl.kind == "dynamic")
-    return StaticState({**state.env, decl.name: meta})
+    return VarMeta(decl.name, values, decl.kind == "dynamic")
 
 
 def decl_sequence(decls, state: StaticState) -> StaticState:
@@ -93,11 +97,12 @@ def analyze(ast: ProgramAst) -> tuple[StaticState, list[Diagnostic]]:
     """Build the program's static state and collect whole-program diagnostics."""
     diags: list[Diagnostic] = []
 
+    # decl_sequence's fold, bound into one dict: copying it per declaration is quadratic
     state = StaticState.empty()
     bound = []  # the declarations that bound a name: the first of each
     for decl in ast.decls:
         try:
-            state = decl_meaning(decl, state)
+            state.env[decl.name] = _meta(decl, state.env)
         except DuplicateDeclarationError as exc:
             diags.append(Diagnostic(ERROR, "DuplicateDeclaration",
                                     f"variable {exc.name} declared twice",

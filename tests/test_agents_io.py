@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import gc
+import io
 import os
 import random
 import socket
@@ -158,6 +160,154 @@ def test_load_runners_rejects_a_field_past_the_csv_size_limit(tmp_path, text, li
     with pytest.raises(MalformedRowError) as err:
         load_runners(path)
     assert str(err.value) == f"line {line}: field larger than field limit (131072)"
+
+
+# --- the roster's two paths -------------------------------------------
+
+HEADER = "id,rfid,last_name,first_name,gender,category"
+
+# what a roster line may be: a row, a blank line, or a row with one fault; "long" is a
+# field past the size limit the property test sets
+ROW_KINDS = ("plain",) * 12 + (
+    "padded rfid", "blank", "quoted comma", "quoted newline", "five fields", "seven fields",
+    "bad id", "empty rfid", "bad gender", "bad category", "negative category", "nul",
+    "non-ascii", "long", "five then seven")
+
+
+def roster_line(rng: random.Random, rid: int, kind: str) -> str:
+    """One line of ``kind``, without its line end."""
+    if kind == "blank":
+        return ""
+    if kind == "five then seven":  # each field lands in a valid column if lines are not counted
+        return f"{rid},T{rid},Novak,Ana,female\n{rid},3,x,y,female,male,4"
+    fields = [str(rid), f"T{rid}", rng.choice(("Novak", "Kova c", "")), rng.choice(("Ana", " Ivo")),
+              rng.choice(GENDERS), str(rng.randint(0, 3))]
+    if kind == "padded rfid":
+        fields[1] = f" T{rid}\t"
+    elif kind == "quoted comma":
+        fields[2] = '"Novak, Jr"'
+    elif kind == "quoted newline":
+        fields[3] = '"Ana\r\nMarija"'
+    elif kind == "five fields":
+        del fields[3]
+    elif kind == "seven fields":
+        fields.append("x")
+    elif kind == "bad id":
+        fields[0] = rng.choice(("x", "", "1.5"))
+    elif kind == "empty rfid":
+        fields[1] = rng.choice(("", " \t "))
+    elif kind == "bad gender":
+        fields[4] = rng.choice(("x", "Female", ""))
+    elif kind == "bad category":
+        fields[5] = rng.choice(("old", ""))
+    elif kind == "negative category":
+        fields[5] = "-1"
+    elif kind == "nul":
+        fields[2] += "\0"
+    elif kind == "non-ascii":
+        fields[3] += "\xe1"
+    elif kind == "long":
+        fields[2] = "x" * 120
+    return ",".join(fields)
+
+
+def random_roster(rng: random.Random) -> tuple[str, set[str]]:
+    """A roster's text, one character per byte, and the kinds of lines it holds."""
+    ends = rng.choice((["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]))
+    header = rng.choice((HEADER,) * 14 + (
+        "", HEADER + " ", HEADER.replace("last_name", "surname"), '"id",rfid,last_name,first_name,'
+        "gender,category", "\n" + HEADER, HEADER + ",x"))
+    odd = rng.choice((0.0, 0.0, 0.03, 0.15))  # the share of lines of another kind
+    kinds = [rng.choice(ROW_KINDS) if rng.random() < odd else "plain"
+             for _ in range(rng.choice((0, rng.randint(1, 40))))]
+    lines = [header] + [roster_line(rng, rid, kind) for rid, kind in enumerate(kinds, 1)]
+    text = "".join(line + rng.choice(ends) for line in lines)
+    if rng.random() < 0.2:  # no line end after the last line
+        text = text.rstrip("\r\n")
+    seen = {kind for kind in kinds if kind != "plain"} | {"-".join(map(repr, ends))}
+    if header != HEADER:
+        seen.add("header variant")
+    return text, seen
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` gives: its runners as plain tuples with their types and gender
+    strings, or its error's type, message and line."""
+    try:
+        runners = read(*args)
+    except MalformedRowError as exc:
+        return type(exc), str(exc), exc.line
+    assert all(runner.gender is GENDERS[GENDERS.index(runner.gender)] for runner in runners)
+    return [(type(runner), *runner) for runner in runners]
+
+
+def read_by_rows(path):
+    """The row loop alone over the whole file, header included."""
+    runners = []
+    with open(path, newline="", encoding="latin-1") as handle:
+        agents_io._read_rows(handle, runners)
+    return runners
+
+
+def test_property_the_column_path_reads_what_the_row_loop_reads(tmp_path, monkeypatch):
+    rng = random.Random(2610)
+    path = tmp_path / "roster.csv"
+    seen, column_read = set(), 0
+    limit = csv.field_size_limit()
+    try:
+        for _ in range(400):
+            text, kinds = random_roster(rng)
+            seen |= kinds
+            path.write_bytes(text.encode("latin-1"))
+            # small blocks cut the roster, and its "\r\n"s, at many places
+            monkeypatch.setattr(agents_io, "BLOCK_CHARS", rng.choice((1, 5, 30, 64, 200, 16384)))
+            # a "long" field passes the smaller limit, so the size check is reached
+            csv.field_size_limit(rng.choice((100, limit, limit)))
+            assert outcome(load_runners, path) == outcome(read_by_rows, path), text
+            # the column path alone, on the lines after the header
+            header = io.StringIO(text, newline="").readline()
+            body = text[len(header):] if header.rstrip("\r\n") == HEADER else ""
+            if body and '"' not in body and (block := agents_io._block_runners(body)) is not None:
+                column_read += 1
+                expected = []
+                agents_io._read_rows(io.StringIO(body, newline=""), expected, 2)
+                assert block == expected, body
+    finally:
+        csv.field_size_limit(limit)
+    assert column_read > 50
+    assert seen >= set(ROW_KINDS) - {"plain"} | {"header variant", "'\\n'", "'\\r\\n'", "'\\r'",
+                                                   "'\\n'-'\\r\\n'-'\\r'"}, seen
+
+
+def crlf_roster_cut_at_a_block(rows: int) -> str:
+    """A CRLF roster of ``rows`` rows whose first block read ends between a CR and its LF."""
+    lines = [f"{rid},MR{rid:06d},Kovac,Zan,{GENDERS[rid % 2]},{rid % 9}\r\n"
+             for rid in range(1, rows + 1)]
+    body = "".join(lines)
+    pad = agents_io.BLOCK_CHARS - 1 - body.rindex("\r", 0, agents_io.BLOCK_CHARS)
+    lines[0] = lines[0].replace("Kovac", "Kovac" + "x" * pad)
+    assert "".join(lines)[agents_io.BLOCK_CHARS - 1] == "\r"
+    return HEADER + "\r\n" + "".join(lines)
+
+
+def test_a_quote_free_roster_of_many_blocks_never_reaches_the_row_loop(tmp_path, monkeypatch):
+    path = tmp_path / "roster.csv"
+    text = crlf_roster_cut_at_a_block(2_000)
+    assert len(text) > 3 * agents_io.BLOCK_CHARS
+    path.write_bytes(text.encode("ascii"))
+    expected = read_by_rows(path)
+
+    def refuse(*args):
+        raise AssertionError("the row loop was reached")
+    with monkeypatch.context() as patch:
+        patch.setattr(agents_io, "_read_rows", refuse)
+        assert load_runners(path) == expected
+    assert len(expected) == 2_000 and expected[0].last_name.startswith("Kovacx")
+    # a fault after the cut is named on its line, as the row loop names it
+    faulty = text.replace("MR001999,Kovac,Zan,male", "MR001999,Kovac,Zan,alien")
+    path.write_bytes(faulty.encode("ascii"))
+    assert outcome(load_runners, path) == outcome(read_by_rows, path) == (
+        MalformedRowError, "line 2000: gender must be one of female/male, got 'alien'", 2000)
 
 
 # --- event lines ------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import program_source, random_var_decl
-from easytime.frontend import VarDecl, parse_source
+from easytime.frontend import ProgramAst, VarDecl, parse_source
 from easytime.langdef import easytime_base, easytime_pp
 from easytime.semantics import (
     CategoryMap,
@@ -108,6 +108,29 @@ def test_decl_meaning_does_not_mutate_input_state():
     # each empty state gets a dict of its own
     assert StaticState.empty() == StaticState(env={})
     assert StaticState.empty().env is not StaticState.empty().env
+
+
+def test_analyze_binds_as_decl_sequence_does_on_random_lists_with_repeats():
+    # analyze binds into one dict; the fold it must equal refuses each repeat in turn
+    rng = random.Random(2024)
+    for _ in range(200):
+        taken: set[str] = set()
+        decls = []
+        for line in range(1, rng.randint(0, 12) + 1):
+            decl = random_var_decl(rng, taken)
+            if decls and rng.random() < 0.3:  # a repeat, of any kind
+                decl = decl._replace(name=rng.choice(decls).name)
+            decls.append(decl._replace(line=line, column=rng.randint(1, 9)))
+        state, repeats = StaticState.empty(), []
+        for decl in decls:
+            try:
+                state = decl_sequence([decl], state)
+            except DuplicateDeclarationError as exc:
+                repeats.append((f"variable {exc.name} declared twice", exc.line, exc.column))
+        got, diags = analyze(ProgramAst((), tuple(decls), ()))
+        assert list(got.env.items()) == list(state.env.items())
+        assert [(d.message, d.line, d.column) for d in diags
+                if d.code == "DuplicateDeclaration"] == repeats
 
 
 def test_analyze_ironman_is_clean():

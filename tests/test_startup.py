@@ -16,7 +16,8 @@ ROSTER = str(FIXTURES / "rosters" / "biathlon.csv")
 EVENTS = str(FIXTURES / "events" / "biathlon.log")
 
 # records are named tuples, not dataclasses (which bring inspect); the listener's
-# modules load only when serve starts listening; results are written with os.path
+# modules load only when serve starts listening, and logging only to log a failed sink;
+# results are written with os.path
 NOT_LOADED = ("dataclasses", "inspect", "logging", "pathlib", "socket", "selectors", "threading")
 
 # what easytime.cli loads before a command runs: the compiler layers and runtime, whose
@@ -36,13 +37,19 @@ HOMES = {
 }
 
 
-def run_fresh(code: str) -> str:
-    """The standard output of ``code`` run by a fresh interpreter importing from ``src``."""
+def run_fresh_with_stderr(code: str) -> tuple[str, str]:
+    """The standard output and error of ``code`` run by a fresh interpreter importing
+    from ``src``."""
     # -S keeps site's own imports out; -c puts the working directory first on sys.path
     res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          cwd=SRC, timeout=60)
     assert res.returncode == 0, res.stderr
-    return res.stdout
+    return res.stdout, res.stderr
+
+
+def run_fresh(code: str) -> str:
+    """The standard output of ``code`` run by a fresh interpreter importing from ``src``."""
+    return run_fresh_with_stderr(code)[0]
 
 
 @pytest.mark.parametrize("snippet, package", [
@@ -83,3 +90,45 @@ def test_every_public_name_resolves_to_its_layer_in_a_fresh_interpreter():
         "    print(exc)\n").splitlines()
     assert out[0].split() == names
     assert out[1:] == ["True False", "module 'easytime' has no attribute 'no_such_name'"]
+
+
+# a client's round trip to a listener serving on a thread of its own, as serve's loop would
+ROUND_TRIP = (
+    "import socket\n"
+    "from easytime.listener import AutoAgentListener\n"
+    "listener = AutoAgentListener(0, SINK).start()\n"
+    "with socket.create_connection(('127.0.0.1', listener.port), timeout=10) as sock:\n"
+    "    sock.sendall(b'1,TAG1,5\\n')\n"
+    "    print(sock.recv(64).decode().strip())\n"
+    "listener.stop()\n")
+
+
+def test_serve_builds_and_stops_its_listener_without_logging():
+    # what serve does before its banner, and on SIGTERM
+    loaded = run_fresh("import sys\n"
+                       "from easytime.listener import AutoAgentListener\n"
+                       "listener = AutoAgentListener(0, print)\n"
+                       "listener.stop()\n"
+                       "listener.serve()\n"
+                       "print(*sys.modules)").split()
+    assert "easytime.listener" in loaded and "logging" not in loaded
+
+
+def test_a_failing_sink_reaches_a_handler_without_logging_loaded_before():
+    out, err = run_fresh_with_stderr(
+        "def SINK(event):\n"
+        "    raise RuntimeError('disk on fire')\n" + ROUND_TRIP)
+    assert out == "ERR disk on fire\n"
+    # logging's last resort handler prints the record with its traceback
+    assert err.startswith("event sink failed\nTraceback")
+    assert err.rstrip().endswith("RuntimeError: disk on fire")
+
+
+def test_the_listeners_records_below_warning_arrive_once_logging_is_configured():
+    _, err = run_fresh_with_stderr(
+        "import logging\n"
+        "logging.basicConfig(level=logging.DEBUG, format='%(levelname)s %(name)s %(message)s')\n"
+        "SINK = lambda event: None\n" + ROUND_TRIP)
+    lines = err.splitlines()
+    assert lines[0].startswith("INFO easytime.listener listening on port ")
+    assert lines[1].startswith("DEBUG easytime.listener connection from ('127.0.0.1', ")
