@@ -6,8 +6,8 @@ ends, and ``parse_event_line`` the one rule for a line
 ``mp,rfid,timestamp_ms[,payload]``, on every transport.  ``read_journal`` reads
 a file of them as ``read_event_log`` does, less a torn last line.  Rosters and
 results are CSV.  ``load_runners`` checks a roster by column, a block of lines at a
-time, and reads row by row with the csv module only what holds a quote or fails a
-check, so the row loop names every fault.  ``write_results`` writes result tables
+time, and reads it again row by row with the csv module if a block holds a quote or
+fails a check, so the row loop names every fault.  ``write_results`` writes result tables
 with the csv module; ``_export_race``, the export of ``run``, ``results`` and
 ``serve``, writes the same bytes from ready-made lines, without building the
 tables.  The TCP listener lives
@@ -58,33 +58,28 @@ def load_runners(path: str | os.PathLike) -> list[Runner]:
     as csv reads it; ``init_race`` checks ids and rfids are unique.
 
     A roster that holds no ``"`` is checked a block of whole lines at a time, by column
-    (``_block_runners``).  A block that fails a check, and everything from the first
-    block with a quote on, is read by ``_read_rows``, one csv record at a time, which
-    raises every error, so either path gives the same runners and the same errors."""
+    (``_block_runners``).  If a block holds a quote or fails a check, ``_read_rows`` reads
+    the whole file again, one csv record at a time, and raises every error, so either
+    path gives the same runners and the same errors."""
     runners: list[Runner] = []
     # latin-1 gives one character per byte, so a non-ASCII byte is seen on its line
     with open(path, newline="", encoding="latin-1") as handle:
-        if handle.readline().rstrip("\r\n") != _HEADER_LINE:
-            handle.seek(0)
-            _read_rows(handle, runners)  # refuses it, unless csv reads it as ours (quoted, say)
-            return runners
-        lineno = 2  # of the block's first line
-        while text := handle.read(BLOCK_CHARS):
-            text += handle.readline()  # a block ends on a line end, a "\r\n" not cut in two
-            if '"' in text:  # a quoted field may span lines, blocks included
-                _read_rows(chain(io.StringIO(text, newline=""), handle), runners, lineno)
-                break
-            if (block := _block_runners(text)) is None:
-                _read_rows(io.StringIO(text, newline=""), runners, lineno)
-            else:
+        if handle.readline().rstrip("\r\n") == _HEADER_LINE:
+            while text := handle.read(BLOCK_CHARS):
+                text += handle.readline()  # a block ends on a line end, a "\r\n" not cut in two
+                # a quoted field may span lines, blocks included
+                if '"' in text or (block := _block_runners(text)) is None:
+                    break
                 runners += block
-            lineno += text.count("\n") + text.count("\r") - text.count("\r\n")
-    return runners
+            else:
+                return runners
+        handle.seek(0)
+        return _read_rows(handle)
 
 
 def _block_runners(text: str) -> list[Runner] | None:
     """The runners of ``text``, whole quote-free lines after the header, or None if a
-    line is not a plain valid row: ``_read_rows`` then reads the block and names the fault."""
+    line is not a plain valid row: ``_read_rows`` then reads the roster and names the fault."""
     if "\0" in text or not text.isascii() or len(text) > csv.field_size_limit():
         return None
     if "\r" in text:
@@ -114,19 +109,16 @@ def _block_runners(text: str) -> list[Runner] | None:
         categories)))
 
 
-def _read_rows(lines: Iterable[str], runners: list[Runner], first_line: int = 1) -> None:
-    """Append the runners of the csv records in ``lines`` to ``runners``; ``first_line``
-    is the number of the first line, and line 1 is the header."""
-    reader = csv.reader(_ascii_lines(lines, first_line))
-    end = first_line - 1
+def _read_rows(lines: Iterable[str]) -> list[Runner]:
+    """The runners of the csv records in ``lines``, a roster's lines from its header on."""
+    runners: list[Runner] = []
+    reader = csv.reader(_ascii_lines(lines))
     try:
-        if first_line == 1:
-            if next(reader, None) != ROSTER_HEADER:
-                raise MalformedRowError(1, f"header must be {_HEADER_LINE}")
-            end = reader.line_num
+        if next(reader, None) != ROSTER_HEADER:
+            raise MalformedRowError(1, f"header must be {_HEADER_LINE}")
+        end = reader.line_num  # a quoted field may span lines: name where a record starts
         for row in reader:
-            # a quoted field may span lines: name where a record starts
-            lineno, end = end + 1, first_line - 1 + reader.line_num
+            lineno, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != len(ROSTER_HEADER):
@@ -149,13 +141,14 @@ def _read_rows(lines: Iterable[str], runners: list[Runner], first_line: int = 1)
                 raise MalformedRowError(lineno, f"category must be >= 0, got {category}")
             runners.append(Runner(runner_id, rfid, last_name, first_name, gender, category))
     except csv.Error as exc:  # a field past the csv module's size limit
-        raise MalformedRowError(first_line - 1 + reader.line_num, str(exc)) from None
+        raise MalformedRowError(reader.line_num, str(exc)) from None
+    return runners
 
 
-def _ascii_lines(lines: Iterable[str], first_line: int) -> Iterator[str]:
-    """``lines``, the first numbered ``first_line``, refusing one with a NUL (which csv
-    refuses only before Python 3.11) or a non-ASCII character."""
-    for lineno, line in enumerate(lines, start=first_line):
+def _ascii_lines(lines: Iterable[str]) -> Iterator[str]:
+    """``lines``, refusing one with a NUL (which csv refuses only before Python 3.11)
+    or a non-ASCII character."""
+    for lineno, line in enumerate(lines, start=1):
         if "\0" in line:
             raise MalformedRowError(lineno, "line contains NUL")
         if not line.isascii():
