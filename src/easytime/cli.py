@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import signal
 import sys
@@ -243,9 +244,28 @@ def _int_in(values: range, what: str):
     return convert
 
 
+def _help_formatter(prog: str) -> argparse.HelpFormatter:
+    """argparse's formatter at the width ``shutil.get_terminal_size`` gives: ``COLUMNS`` if
+    it is a positive integer, else the width of ``sys.__stdout__``'s terminal, else 80.
+    argparse builds one per argument, and its own default loads ``shutil``."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):  # no stdout, or not a terminal
+            columns = 0
+    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="easytime", description="EasyTime race-timing compiler and runtime")
+    parser = argparse.ArgumentParser(prog="easytime",
+                                     description="EasyTime race-timing compiler and runtime",
+                                     formatter_class=_help_formatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=_help_formatter)
 
     def common(p):
         p.add_argument("program", help="program source file (.ez)")
@@ -257,17 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", choices=GROUPINGS, default=None)
         p.add_argument("--out", default=None, help="output directory (default $EASYTIME_OUT or .)")
 
-    p_check = sub.add_parser("check", help="compile a program and report diagnostics")
+    p_check = add_parser("check", help="compile a program and report diagnostics")
     common(p_check)
     p_check.set_defaults(func=cmd_check)
 
-    p_run = sub.add_parser("run", help="replay event logs and export results")
+    p_run = add_parser("run", help="replay event logs and export results")
     common(p_run)
     outputs(p_run)
     p_run.add_argument("--events", nargs="+", required=True, help="event log files")
     p_run.set_defaults(func=cmd_run)
 
-    p_serve = sub.add_parser("serve", help="listen for live events over TCP")
+    p_serve = add_parser("serve", help="listen for live events over TCP")
     common(p_serve)
     outputs(p_serve)
     count = _int_in(range(sys.maxsize), "an integer >= 0")
@@ -279,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shut down after N applied events (for scripted runs)")
     p_serve.set_defaults(func=cmd_serve)
 
-    p_results = sub.add_parser("results", help="re-export results from a journal")
+    p_results = add_parser("results", help="re-export results from a journal")
     common(p_results)
     outputs(p_results)
     p_results.add_argument("--journal", required=True, help="journal file from a previous run/serve")

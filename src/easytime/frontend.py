@@ -4,13 +4,15 @@
 broken by rule priority) and emits every character of the source as a token,
 including whitespace and comments, so the token stream reproduces the input
 exactly.  It works out from the parsed patterns which rules can start a
-match with each ASCII character, and a position tries only those; a rule
-the analysis cannot bound is tried everywhere.  ``parse`` is one
-table-driven loop with single-token lookahead that pulls its tokens one at a
-time; ``parse_source`` feeds it the scan as it goes, so a compile holds the
-tree, not every token.  Its tables come from one builder, ``_tries``, which
-runs FIRST/FOLLOW over the definition's productions and returns a prediction
-trie per nonterminal; alternatives sharing a prefix share a trie path until
+match with each ASCII character, and a position tries only those, or takes
+the match of the one rule there is; a rule the analysis cannot bound is
+tried everywhere.  ``parse`` is one table-driven loop with single-token
+lookahead that pulls its tokens one at a time and skips trivia;
+``parse_source`` feeds it the scan as it goes, without trivia, so a compile
+builds no token for whitespace or comments and holds the tree, not every
+token.  Its tables come from one builder, ``_tries``, which runs FIRST/FOLLOW
+over the definition's productions and returns a prediction trie per
+nonterminal; alternatives sharing a prefix share a trie path until
 the lookahead separates them, and end of input is one more token kind.  An
 explicit stack replaces recursion, so how deeply a program nests is bounded
 by memory and not by the recursion limit.
@@ -169,53 +171,71 @@ def _dispatch(lexicon: tuple[LexRule, ...]) -> tuple[tuple[tuple, ...], ...]:
 
 
 def tokenize(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> list[Token]:
-    """Split source into tokens; trivia (whitespace, comments) is included.
+    """Split source into tokens; trivia (whitespace, comments) is included, so the
+    texts of the tokens join to the source.
 
     A table maps the first character to the lexicon rules that can start a
     non-empty match with it, worked out from each parsed pattern.  It is
     built once per lexicon content, a list or a tuple of the same rules
     alike, and never written, so later calls reuse it.  A position tries
     only its character's rules, in lexicon order, and keeps the longest
-    match, then the lower priority, then the earlier rule.  A rule whose
+    match, then the lower priority, then the earlier rule; where one rule
+    alone can start a match, its match is the token.  A rule whose
     pattern uses a construct the analysis does not bound (a lookaround, a
     group reference, an inline flag) is tried at every position, so the
     table never changes the tokens.  Returns every token in one list;
-    ``parse`` also takes them as a stream, which ``parse_source`` uses.
+    ``parse`` also takes them as a stream.  ``parse_source`` streams the same
+    scan without the trivia, which ``parse`` would skip.
     """
     return list(_scan(source, lexicon))
 
 
-def _scan(source: str, lexicon: tuple[LexRule, ...] | list[LexRule]) -> Iterator[Token]:
-    """The tokens of ``tokenize``, one per ``next``.  The first ``next`` checks
-    that the source is ASCII and looks up the table, building it for a new
-    lexicon, and a character no rule matches raises ``LexError`` when the
-    scan reaches it."""
+def _scan(source: str, lexicon: tuple[LexRule, ...] | list[LexRule],
+          trivia: bool = True) -> Iterator[Token]:
+    """The tokens of ``tokenize``, one per ``next``; with ``trivia`` false, as
+    ``parse_source`` asks, only the tokens the parser reads: a ``Whitespace`` or
+    ``Comment`` match moves the position and the line count and builds no token.
+    The first ``next`` checks that the source is ASCII and looks up the table,
+    building it for a new lexicon, and a character no rule matches raises
+    ``LexError`` when the scan reaches it."""
     if not source.isascii():
         pos = next(i for i, ch in enumerate(source) if not ch.isascii())
         line_start = source.rfind("\n", 0, pos) + 1
         raise LexError(source.count("\n", 0, pos) + 1, pos - line_start + 1,
                        f"non-ASCII character {source[pos]!r}")
     table = _dispatch(tuple(lexicon))  # a list lexicon may be edited between calls
+    skipped = frozenset() if trivia else TRIVIA
 
     new_tuple = tuple.__new__  # skips Token's Python-level __new__
-    pos, line, line_start = 0, 1, 0
-    while pos < len(source):
-        name, end, priority = None, pos, 0
-        for rule_name, rule_priority, match in table[ord(source[pos])]:
+    pos, line, line_start, size = 0, 1, 0, len(source)
+    while pos < size:
+        rules = table[ord(source[pos])]
+        if len(rules) == 1:  # the one rule that can start here: its match, if not empty
+            name, _, match = rules[0]
             m = match(source, pos)
-            if m is None:
-                continue
-            stop = m.end()
-            # longest first, then priority; empty matches are ignored
-            if stop > end or (stop == end > pos and rule_priority < priority):
-                name, end, priority = rule_name, stop, rule_priority
-        if name is None:
+            end = pos if m is None else m.end()
+        else:
+            name, end, priority = None, pos, 0
+            for rule_name, rule_priority, match in rules:
+                m = match(source, pos)
+                if m is None:
+                    continue
+                stop = m.end()
+                # longest first, then priority; empty matches are ignored
+                if stop > end or (stop == end > pos and rule_priority < priority):
+                    name, end, priority = rule_name, stop, rule_priority
+        if end == pos:
             raise LexError(line, pos - line_start + 1, f"unexpected character {source[pos]!r}")
-        text = source[pos:end]
-        yield new_tuple(Token, (name, text, line, pos - line_start + 1))
-        if "\n" in text:
-            line += text.count("\n")
-            line_start = pos + text.rfind("\n") + 1
+        if name in skipped:
+            if newlines := source.count("\n", pos, end):
+                line += newlines
+                line_start = source.rfind("\n", pos, end) + 1
+        else:
+            text = source[pos:end]
+            yield new_tuple(Token, (name, text, line, pos - line_start + 1))
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = pos + text.rfind("\n") + 1
         pos = end
 
 
@@ -334,8 +354,8 @@ def _describe_token(token: Token) -> str:
 def parse(tokens: Iterable[Token], lang: LanguageDef) -> ProgramAst:
     """Parse tokens into a program tree under the given definition.
 
-    ``tokens`` is any iterable of tokens, trivia included: the list from
-    ``tokenize``, or the scan that ``parse_source`` streams.  Tokens are
+    ``tokens`` is any iterable of tokens, trivia or not: the list from
+    ``tokenize``, or the scan without trivia that ``parse_source`` streams.  Tokens are
     pulled one at a time and trivia is skipped as it arrives, so a parse
     holds the tree it builds, not every token.  End of input sits just past
     the last significant token, or at 1:1 when there is none.  If anything
@@ -428,7 +448,7 @@ def _parse(stream: Iterator[Token], lang: LanguageDef) -> ProgramAst:
 
 
 def parse_source(source: str, lang: LanguageDef) -> ProgramAst:
-    return parse(_scan(source, lang.lexicon), lang)
+    return parse(_scan(source, lang.lexicon, trivia=False), lang)
 
 
 # --- Tree-building handlers -------------------------------------------

@@ -1,6 +1,7 @@
 """TCP listener for automatic agents, loaded by ``serve`` and ``agents_io.listen_auto``.
 
-``logging`` loads only to log a failed sink.  A record below WARNING is made only if
+``threading`` loads only when ``start`` serves on a thread of its own, which the
+``serve`` command never does, and ``logging`` only to log a failed sink.  A record below WARNING is made only if
 ``logging`` is already loaded: until then no handler exists, and logging's last resort
 would drop the record anyway.
 """
@@ -12,7 +13,6 @@ import select
 import selectors
 import socket
 import sys
-import threading
 import time
 
 from .agents_io import MAX_LINE_BYTES, parse_event_line, split_lines
@@ -130,6 +130,8 @@ class AutoAgentListener:
 
     def start(self) -> "AutoAgentListener":
         """Run ``serve`` on a daemon thread of its own, which ``stop()`` then waits for."""
+        import threading
+
         self._thread = threading.Thread(target=self.serve, name="easytime-listener", daemon=True)
         self._thread.start()
         return self
@@ -141,8 +143,11 @@ class AutoAgentListener:
         the sink returned from."""
         self._stopping = True
         self._wake_w.close()  # _wake_r reads end of file, which ends the loop's select()
-        if self._thread not in (None, threading.current_thread()):
-            self._thread.join()
+        if self._thread is not None:  # start() ran, so threading is loaded
+            import threading
+
+            if self._thread is not threading.current_thread():
+                self._thread.join()
 
     def __enter__(self) -> "AutoAgentListener":
         return self

@@ -18,6 +18,7 @@ how runners are grouped and ordered, which the CLI's export shares.
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
+from itertools import compress
 from operator import attrgetter, itemgetter
 
 from .frontend import Predicate, ProgramAst, Statement
@@ -83,29 +84,39 @@ def init_race(state: StaticState, roster: list[Runner] | tuple[Runner, ...]) -> 
     for a runner's category starts undefined and is reported as a warning.
     The values are worked out once per category and shared by its runners.
     Raises DuplicateRfidError or DuplicateRunnerIdError if an rfid or a
-    runner id appears twice in the roster.
+    runner id appears twice in the roster.  The roster is mapped and checked
+    by column; its rows are walked again only to name the first duplicate.
     """
+    roster = tuple(roster)
+    rfid_of, id_of, category_of = attrgetter("rfid"), attrgetter("id"), attrgetter("category")
+    templates = {category: _category_template(state, category)
+                 for category in set(map(category_of, roster))}
+    starting = {category: variables for category, (variables, _) in templates.items()}
+    per_runner: dict[str, RunnerVars] = dict(
+        zip(map(rfid_of, roster), map(starting.__getitem__, map(category_of, roster))))
+    if len(per_runner) < len(roster) or len(set(map(id_of, roster))) < len(roster):
+        _raise_first_duplicate(roster)
+    missing = {category: names for category, (_, names) in templates.items() if names}
+    warnings = tuple(
+        RaceWarning(runner.rfid, name,
+                    f"runner {runner.id} ({runner.rfid}): no value for"
+                    f" category {runner.category} in {name}")
+        for runner in compress(roster, map(missing.__contains__, map(category_of, roster)))
+        for name in missing[runner.category])
+    return RaceState(roster, tuple(state.env), per_runner, warnings=warnings)
+
+
+def _raise_first_duplicate(roster: tuple[Runner, ...]) -> None:
+    """Raise the error for the first runner whose rfid or id an earlier one has."""
+    seen_rfids: set[str] = set()
     seen_ids: set[int] = set()
-    warnings: list[RaceWarning] = []
-    per_runner: dict[str, RunnerVars] = {}
-    templates: dict[int, tuple[RunnerVars, list[str]]] = {}
     for runner in roster:
-        if runner.rfid in per_runner:
+        if runner.rfid in seen_rfids:
             raise DuplicateRfidError(f"rfid {runner.rfid} appears twice in roster")
         if runner.id in seen_ids:
             raise DuplicateRunnerIdError(f"runner id {runner.id} appears twice in roster")
+        seen_rfids.add(runner.rfid)
         seen_ids.add(runner.id)
-        if (template := templates.get(runner.category)) is None:
-            template = templates[runner.category] = _category_template(state, runner.category)
-        variables, missing = template
-        for name in missing:
-            warnings.append(RaceWarning(
-                runner.rfid, name,
-                f"runner {runner.id} ({runner.rfid}): no value for"
-                f" category {runner.category} in {name}"))
-        per_runner[runner.rfid] = variables
-
-    return RaceState(tuple(roster), tuple(state.env), per_runner, warnings=tuple(warnings))
 
 
 def _category_template(state: StaticState, category: int) -> tuple[RunnerVars, list[str]]:

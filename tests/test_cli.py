@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
+import io
 import os
 import signal
 import socket
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, SRC, program_source
+from easytime import cli
 from easytime.agents_io import load_runners, parse_event_line, read_journal, write_results
 from easytime.cli import _resume_journal, build_parser, main
 from easytime.frontend import parse_source
@@ -964,3 +967,64 @@ def test_serve_journals_unmatched_rfids_like_run(tmp_path, start_serve):
     assert status == 0
     assert (served / "journal.log").read_bytes() == (ran / "journal.log").read_bytes()
     assert (served / "results.csv").read_bytes() == (ran / "results.csv").read_bytes()
+
+
+# --- help -------------------------------------------------------------
+# The CLI gives argparse's formatter the width shutil.get_terminal_size would, without
+# loading shutil; what it prints must be what argparse's own default prints.
+
+def no_terminal(fd):
+    raise OSError("not a terminal")
+
+
+def terminal_of(columns: int):
+    return lambda fd: os.terminal_size((columns, 24))
+
+
+def assert_printed_as_argparse_would(monkeypatch, capsys, argv: list[str], terminal=None) -> None:
+    """``main(argv)`` prints what it prints with argparse's own formatter, which reads the
+    terminal through ``terminal`` if one is given."""
+    def printed():
+        with pytest.raises(SystemExit):
+            main(argv)
+        return capsys.readouterr()
+
+    own = printed()
+    assert "usage: easytime" in own.out + own.err
+    monkeypatch.setattr(cli, "_help_formatter", argparse.HelpFormatter)
+    if terminal is not None:
+        monkeypatch.setattr(os, "get_terminal_size", terminal)
+    assert printed() == own
+
+
+@pytest.mark.parametrize("columns, terminal, reference", [
+    pytest.param("40", no_terminal, None, id="COLUMNS=40"),
+    pytest.param("80", no_terminal, None, id="COLUMNS=80"),
+    pytest.param("200", no_terminal, None, id="COLUMNS=200"),
+    pytest.param(None, no_terminal, None, id="no-terminal"),
+    pytest.param(None, terminal_of(57), None, id="terminal-57"),
+    # read as no terminal, as shutil reads it since Python 3.11; 3.10's gives argparse -2
+    pytest.param(None, terminal_of(0), no_terminal, id="terminal-0"),
+    pytest.param("44", terminal_of(120), None, id="COLUMNS=44-terminal-120"),
+    pytest.param("0", terminal_of(63), None, id="COLUMNS=0-terminal-63"),
+    pytest.param("-3", no_terminal, None, id="COLUMNS=-3"),
+    pytest.param("wide", no_terminal, None, id="COLUMNS=wide"),
+])
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["run", "--help"],
+                                  ["serve", "--help"], ["results", "--help"],
+                                  ["serve", "p.ez", "--port", "0"], ["nope"]], ids=" ".join)
+def test_help_and_usage_match_argparse_at_every_width(monkeypatch, capsys, argv, columns,
+                                                      terminal, reference):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.setattr(os, "get_terminal_size", terminal)
+    assert_printed_as_argparse_would(monkeypatch, capsys, argv, reference)
+
+
+@pytest.mark.parametrize("stdout", [None, io.StringIO()], ids=["none", "no-descriptor"])
+def test_help_matches_argparse_without_a_stdout_to_ask(monkeypatch, capsys, stdout):
+    monkeypatch.delenv("COLUMNS", raising=False)
+    monkeypatch.setattr(sys, "__stdout__", stdout)
+    assert_printed_as_argparse_would(monkeypatch, capsys, ["serve", "--help"])

@@ -582,3 +582,91 @@ def test_a_streamed_compile_holds_the_tree_not_every_token():
     streamed = peak_bytes(lambda: parse_source(source, lang))
     listed = peak_bytes(lambda: parse(tokenize(source, lang.lexicon), lang))
     assert streamed < listed / 2, (streamed, listed)
+
+
+# --- The scan without trivia: parse_source builds no whitespace or comment tokens ------
+
+def without_trivia(source: str, lexicon) -> list[Token]:
+    return list(frontend._scan(source, lexicon, trivia=False))
+
+
+def tokenize_minus_trivia(source: str, lexicon) -> list[Token]:
+    return [token for token in tokenize(source, lexicon) if token.kind not in TRIVIA]
+
+
+def test_the_scan_without_trivia_is_tokenize_minus_trivia_for_any_lexicon():
+    # the random lexicons above, each rule named Whitespace, Comment or a name of its own
+    # at random, so a lexicon has several trivia rules of one name, or none
+    rng = random.Random(27)
+    for _ in range(250):
+        patterns = rng.sample(PATTERN_POOL, rng.randint(2, 7))
+        names = [rng.choice(("Whitespace", "Comment", f"R{i}")) for i in range(len(patterns))]
+        lexicon = [LexRule(name, p, rng.randint(0, 2)) for name, p in zip(names, patterns)]
+        for _ in range(8):
+            source = "".join(
+                rng.choice(ALPHABET) if rng.random() < 0.9 else chr(rng.randrange(128))
+                for _ in range(rng.randint(0, 30))
+            )
+            expected = lex_outcome(tokenize_minus_trivia, source, lexicon)
+            assert lex_outcome(without_trivia, source, lexicon) == expected, (lexicon, source)
+
+
+TRIVIA_RUNS = (" ", "\t", "\n", "\r\n", "// note\n", "//", "  // x;y\n\n\t", "\n// a\n// b\n")
+
+
+def with_trivia(rng: random.Random, source: str) -> str:
+    """``source`` with runs of whitespace and comments after some of its lines and tokens."""
+    pieces = re.split(r"(\s+)", source)
+    return "".join(piece + (rng.choice(TRIVIA_RUNS) if rng.random() < 0.3 else "")
+                   for piece in pieces)
+
+
+@pytest.mark.parametrize("lang", [easytime_base(), easytime_pp()], ids=lambda lang: lang.name)
+def test_the_scan_without_trivia_is_tokenize_minus_trivia_for_programs(lang):
+    rng = random.Random(2027)
+    for _ in range(30):
+        for source in mutations(rng, with_trivia(rng, pretty(random_program(rng)))):
+            expected = lex_outcome(tokenize_minus_trivia, source, lang.lexicon)
+            assert lex_outcome(without_trivia, source, lang.lexicon) == expected, source
+            assert outcome(lambda: parse_source(source, lang)) \
+                == outcome(lambda: parse(tokenize(source, lang.lexicon), lang)), source
+
+
+@pytest.mark.parametrize("source, line, column", [
+    ("var X := 1;\n  \n\t@", 3, 2),  # right after a run of trivia
+    ("var X := 1;\n // c\n  @ \n // d\n", 3, 3),  # inside one
+    ("// c\n\n@", 3, 1),  # after trivia alone
+    ("  \n\t// c;\r\n @var", 3, 2),
+    ("var\n@", 2, 1),  # after a significant token ending a line
+])
+def test_a_character_no_rule_matches_is_reported_where_tokenize_reports_it(source, line, column):
+    lang = easytime_pp()
+    for scan in (tokenize, without_trivia):
+        with pytest.raises(LexError) as err:
+            scan(source, lang.lexicon)
+        assert (err.value.line, err.value.column, err.value.message) \
+            == (line, column, "unexpected character '@'")
+    with pytest.raises(LexError) as err:
+        parse_source(source, lang)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("lang, source, position", [
+    (easytime_pp(), "var X := 1   ", (1, 11)),  # trailing whitespace
+    (easytime_pp(), "var X := 1\n\t\n", (1, 11)),
+    (easytime_pp(), "var X := 1 // no semicolon", (1, 11)),  # a trailing comment
+    (easytime_pp(), "var X := 1\n// c\n//", (1, 11)),
+    (tiny("S"), "", (1, 1)),  # an empty source
+    (tiny("S"), " ", (1, 1)),  # trivia only: end of input stays at 1:1
+    (tiny("S"), "\n\n  \t\n", (1, 1)),
+    (easytime_pp(), "var", (1, 4)),
+])
+def test_end_of_input_does_not_move_without_trivia_tokens(lang, source, position):
+    errors = []
+    for parse_it in (lambda: parse_source(source, lang),
+                     lambda: parse(tokenize(source, lang.lexicon), lang)):
+        with pytest.raises(ParseError) as err:
+            parse_it()
+        errors.append((err.value.line, err.value.column, err.value.message))
+    assert errors[0] == errors[1]
+    assert errors[0][:2] == position and errors[0][2].endswith("got end of input")

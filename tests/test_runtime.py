@@ -14,6 +14,7 @@ from easytime.runtime import (
     DuplicateRfidError,
     DuplicateRunnerIdError,
     Event,
+    RaceWarning,
     Runner,
     UnknownMeasuringPlaceError,
     UnknownVariableError,
@@ -25,7 +26,7 @@ from easytime.runtime import (
     run_statements,
     step_events,
 )
-from easytime.semantics import StaticState, analyze, decl_sequence
+from easytime.semantics import ARMS, StaticState, analyze, decl_sequence
 
 ANA = Runner(1, "TAG001", "Novak", "Ana", "female", 1)
 MAJA = Runner(2, "TAG002", "Kovac", "Maja", "female", 2)
@@ -142,6 +143,79 @@ def test_init_race_rejects_duplicate_runner_id():
     _, state = compiled("biathlon")
     with pytest.raises(DuplicateRunnerIdError):
         init_race(state, [ANA, Runner(1, "TAG009", "Dup", "Id", "male", 1)])
+
+
+def init_race_by_row(state: StaticState, roster: list[Runner]):
+    """The reference: one walk over the rows, checking and warning as it goes.  Returns
+    ``per_runner`` and the warnings, or the type and message of the first error."""
+    seen_ids: set[int] = set()
+    per_runner, warnings, starting = {}, [], {}
+    for runner in roster:
+        if runner.rfid in per_runner:
+            return DuplicateRfidError, f"rfid {runner.rfid} appears twice in roster"
+        if runner.id in seen_ids:
+            return DuplicateRunnerIdError, f"runner id {runner.id} appears twice in roster"
+        seen_ids.add(runner.id)
+        variables = starting.setdefault(runner.category, {
+            name: None if meta.is_dynamic else meta.values.lookup(runner.category)
+            for name, meta in state.env.items()})
+        for name, meta in state.env.items():
+            if meta.values.kind == ARMS and runner.category not in meta.values.arms:
+                warnings.append(RaceWarning(
+                    runner.rfid, name, f"runner {runner.id} ({runner.rfid}): no value for"
+                                       f" category {runner.category} in {name}"))
+        per_runner[runner.rfid] = variables
+    return per_runner, tuple(warnings)
+
+
+def random_roster(rng: random.Random) -> list[Runner]:
+    """Up to 40 runners in categories 1 to 5, some of them a duplicate of an earlier
+    runner's rfid or id, at random rows."""
+    size = rng.choice((0, 1, 2, rng.randint(3, 40)))
+    ids = rng.sample(range(1, 200), size)
+    roster = [Runner(ids[i], f"T{rng.randrange(10**6)}-{i}", "L", "F",
+                     rng.choice(("female", "male")), rng.randint(1, 5)) for i in range(size)]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        if size < 2:
+            break
+        early, late = sorted(rng.sample(range(size), 2))
+        field = rng.choice(("rfid", "id"))
+        roster[late] = roster[late]._replace(**{field: getattr(roster[early], field)})
+    return roster
+
+
+def test_init_race_by_column_equals_init_race_by_row():
+    rng = random.Random(26)
+    outcomes = set()
+    for _ in range(400):
+        decls = [VarDecl("D", "dynamic"), VarDecl("K", "plain", value=rng.randint(0, 9))]
+        decls += [VarDecl(f"C{k}", "categorized",
+                          arms=tuple((c, rng.randint(0, 9)) for c in
+                                     sorted(rng.sample(range(1, 6), rng.randint(1, 5)))))
+                  for k in range(rng.randint(0, 3))]
+        rng.shuffle(decls)
+        state = decl_sequence(decls, StaticState.empty())
+        roster = random_roster(rng)
+        expected = init_race_by_row(state, roster)
+        try:
+            race = init_race(state, roster)
+        except (DuplicateRfidError, DuplicateRunnerIdError) as exc:
+            assert (type(exc), str(exc)) == expected, roster
+            outcomes.add(type(exc))
+            continue
+        per_runner, warnings = expected
+        assert race.roster == tuple(roster)
+        assert list(race.per_runner.items()) == list(per_runner.items())
+        assert race.warnings == warnings
+        # one starting dict per category, shared by identity, as the reference shares them
+        shared: dict[int, dict] = {}
+        for runner in roster:
+            variables = race.per_runner[runner.rfid]
+            assert variables is shared.setdefault(runner.category, variables)
+        assert len({id(v) for v in race.per_runner.values()}) \
+            == len({runner.category for runner in roster})
+        outcomes.add("warned" if warnings else "race" if roster else "empty")
+    assert outcomes == {DuplicateRfidError, DuplicateRunnerIdError, "warned", "race", "empty"}
 
 
 def test_eval_predicate_truth_table():
