@@ -13,7 +13,7 @@ _LAYERS = {
     "langdef": ("LanguageDef", "LanguageFragment", "compose_language", "easytime_base",
                 "easytime_pp", "easytime_pp_fragment", "validate_language"),
     "frontend": ("ProgramAst", "parse", "parse_source", "pretty", "tokenize"),
-    "semantics": ("StaticState", "analyze", "decl_meaning", "decl_sequence"),
+    "semantics": ("analyze", "decl_meaning", "decl_sequence"),
     "runtime": ("Event", "RaceState", "Runner", "apply_event", "eval_predicate", "init_race",
                 "race_results", "replay"),
     "agents_io": ("listen_auto", "load_runners", "read_event_log", "write_results"),

@@ -39,21 +39,25 @@ class AutoAgentListener:
     def __init__(self, port: int, sink):
         self._sink = sink
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        opened = [self._server]  # closed if start-up fails, out of descriptors say
         try:
+            self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._server.bind(("0.0.0.0", port))
+            self._server.listen()
+            self._server.setblocking(False)
+            self.port = self._server.getsockname()[1]
+            self._wake_r, self._wake_w = socket.socketpair()
+            opened += (self._wake_r, self._wake_w)
+            self._selector = selectors.DefaultSelector()
+            opened.append(self._selector)
+            self._selector.register(self._server, selectors.EVENT_READ)
+            self._selector.register(self._wake_r, selectors.EVENT_READ)
         except BaseException:  # OSError, or OverflowError for a port out of range
-            self._server.close()
+            for resource in opened:
+                resource.close()
             raise
-        self._server.listen()
-        self._server.setblocking(False)
-        self.port = self._server.getsockname()[1]
         self._stopping = False  # set by stop(), which then closes _wake_w to wake the loop
         self._thread = None
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._server, selectors.EVENT_READ)
-        self._selector.register(self._wake_r, selectors.EVENT_READ)
         _log("info", "listening on port %d", self.port)
 
     def serve(self) -> None:
@@ -93,6 +97,8 @@ class AutoAgentListener:
     def _read(self, conn: socket.socket, data: list) -> None:
         try:
             chunk = conn.recv(65536)
+        except BlockingIOError:  # select(2) may report a socket readable whose read blocks
+            return
         except OSError:
             chunk = b""
         lines, data[0] = split_lines(data[0] + chunk)

@@ -22,7 +22,7 @@ from itertools import compress
 from operator import attrgetter, itemgetter
 
 from .frontend import Predicate, ProgramAst, Statement
-from .semantics import ARMS, StaticState
+from .semantics import ARMS, VarMeta
 
 GENDERS = ("female", "male")
 
@@ -76,11 +76,11 @@ RaceState = namedtuple("RaceState", "roster var_names per_runner log warnings",
 ResultTable = namedtuple("ResultTable", "label columns rows rank_var", defaults=(None,))
 
 
-def init_race(state: StaticState, roster: list[Runner] | tuple[Runner, ...]) -> RaceState:
-    """Instantiate per-runner variables from the static state.
+def init_race(env: dict[str, VarMeta], roster: list[Runner] | tuple[Runner, ...]) -> RaceState:
+    """Instantiate per-runner variables from the static state ``env``.
 
-    Dynamic variables start undefined; other variables take their category
-    map's value at the runner's category.  A categorized variable with no arm
+    Each variable starts at its category map's value at the runner's category, so
+    dynamic variables start undefined.  A categorized variable with no arm
     for a runner's category starts undefined and is reported as a warning.
     The values are worked out once per category and shared by its runners.
     Raises DuplicateRfidError or DuplicateRunnerIdError if an rfid or a
@@ -89,21 +89,22 @@ def init_race(state: StaticState, roster: list[Runner] | tuple[Runner, ...]) -> 
     """
     roster = tuple(roster)
     rfid_of, id_of, category_of = attrgetter("rfid"), attrgetter("id"), attrgetter("category")
-    templates = {category: _category_template(state, category)
-                 for category in set(map(category_of, roster))}
-    starting = {category: variables for category, (variables, _) in templates.items()}
+    starting = {category: {name: meta.values.lookup(category) for name, meta in env.items()}
+                for category in set(map(category_of, roster))}
     per_runner: dict[str, RunnerVars] = dict(
         zip(map(rfid_of, roster), map(starting.__getitem__, map(category_of, roster))))
     if len(per_runner) < len(roster) or len(set(map(id_of, roster))) < len(roster):
         _raise_first_duplicate(roster)
-    missing = {category: names for category, (_, names) in templates.items() if names}
+    missing = {category: names for category, variables in starting.items()
+               if (names := [name for name, meta in env.items()
+                             if meta.values.kind == ARMS and variables[name] is None])}
     warnings = tuple(
         RaceWarning(runner.rfid, name,
                     f"runner {runner.id} ({runner.rfid}): no value for"
                     f" category {runner.category} in {name}")
         for runner in compress(roster, map(missing.__contains__, map(category_of, roster)))
         for name in missing[runner.category])
-    return RaceState(roster, tuple(state.env), per_runner, warnings=warnings)
+    return RaceState(roster, tuple(env), per_runner, warnings=warnings)
 
 
 def _raise_first_duplicate(roster: tuple[Runner, ...]) -> None:
@@ -117,17 +118,6 @@ def _raise_first_duplicate(roster: tuple[Runner, ...]) -> None:
             raise DuplicateRunnerIdError(f"runner id {runner.id} appears twice in roster")
         seen_rfids.add(runner.rfid)
         seen_ids.add(runner.id)
-
-
-def _category_template(state: StaticState, category: int) -> tuple[RunnerVars, list[str]]:
-    """A runner's starting variables in ``category``, and the categorized ones with no arm."""
-    variables: RunnerVars = {
-        name: None if meta.is_dynamic else meta.values.lookup(category)
-        for name, meta in state.env.items()
-    }
-    missing = [name for name, meta in state.env.items()
-               if not meta.is_dynamic and meta.values.kind == ARMS and variables[name] is None]
-    return variables, missing
 
 
 def eval_predicate(pred: Predicate, variables: RunnerVars) -> bool:

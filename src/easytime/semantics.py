@@ -1,10 +1,10 @@
 """Static meaning of declarations and whole-program checks.
 
-A program's declarations denote a state mapping each variable name to a pair:
-a category-to-integer map and a dynamic flag.  Plain declarations bind a
-constant map, categorized declarations bind a finite map, and dynamic
-declarations bind the everywhere-undefined map with the flag set; their
-per-runner values appear only at run time.
+A program's declarations denote its static state: a dict from each variable
+name, in declaration order, to a ``VarMeta`` of a category-to-integer map and a
+dynamic flag.  Plain declarations bind a constant map, categorized declarations
+bind a finite map, and dynamic declarations bind the everywhere-undefined map
+with the flag set; their per-runner values appear only at run time.
 """
 
 from __future__ import annotations
@@ -48,16 +48,6 @@ class CategoryMap(namedtuple("CategoryMap", "kind value arms", defaults=(None, N
 VarMeta = namedtuple("VarMeta", "name values is_dynamic")
 
 
-class StaticState(namedtuple("StaticState", "env")):
-    """``env``, the finite map from variable name to ``VarMeta``, in declaration order."""
-
-    __slots__ = ()
-
-    @classmethod
-    def empty(cls) -> "StaticState":
-        return cls({})
-
-
 class DuplicateDeclarationError(Exception):
     def __init__(self, name: str, line: int, column: int):
         super().__init__(f"{line}:{column}: variable {name} declared twice")
@@ -66,9 +56,9 @@ class DuplicateDeclarationError(Exception):
         self.column = column
 
 
-def decl_meaning(decl: VarDecl, state: StaticState) -> StaticState:
-    """Bind one declaration into the state; rebinding a name is an error."""
-    return StaticState({**state.env, decl.name: _meta(decl, state.env)})
+def decl_meaning(decl: VarDecl, env: dict[str, VarMeta]) -> dict[str, VarMeta]:
+    """A new dict, ``env`` with ``decl`` bound; rebinding a name is an error."""
+    return {**env, decl.name: _meta(decl, env)}
 
 
 def _meta(decl: VarDecl, env: dict[str, VarMeta]) -> VarMeta:
@@ -86,23 +76,23 @@ def _meta(decl: VarDecl, env: dict[str, VarMeta]) -> VarMeta:
     return VarMeta(decl.name, values, decl.kind == "dynamic")
 
 
-def decl_sequence(decls, state: StaticState) -> StaticState:
-    """Left fold of decl_meaning: later declarations see earlier bindings."""
+def decl_sequence(decls, env: dict[str, VarMeta]) -> dict[str, VarMeta]:
+    """Left fold of decl_meaning from ``env``: later declarations see earlier bindings."""
     for decl in decls:
-        state = decl_meaning(decl, state)
-    return state
+        env = decl_meaning(decl, env)
+    return env
 
 
-def analyze(ast: ProgramAst) -> tuple[StaticState, list[Diagnostic]]:
-    """Build the program's static state and collect whole-program diagnostics."""
+def analyze(ast: ProgramAst) -> tuple[dict[str, VarMeta], list[Diagnostic]]:
+    """The program's static state, from each name's first declaration, and its diagnostics."""
     diags: list[Diagnostic] = []
 
     # decl_sequence's fold, bound into one dict: copying it per declaration is quadratic
-    state = StaticState.empty()
+    env: dict[str, VarMeta] = {}
     bound = []  # the declarations that bound a name: the first of each
     for decl in ast.decls:
         try:
-            state.env[decl.name] = _meta(decl, state.env)
+            env[decl.name] = _meta(decl, env)
         except DuplicateDeclarationError as exc:
             diags.append(Diagnostic(ERROR, "DuplicateDeclaration",
                                     f"variable {exc.name} declared twice",
@@ -133,14 +123,14 @@ def analyze(ast: ProgramAst) -> tuple[StaticState, list[Diagnostic]]:
                                     place.line, place.column))
         for stmt in place.stmts:
             referenced.add(stmt.target)
-            if stmt.target not in state.env:
+            if stmt.target not in env:
                 diags.append(Diagnostic(ERROR, "UndeclaredVariable",
                                         f"{stmt.instr} targets undeclared"
                                         f" variable {stmt.target}",
                                         stmt.line, stmt.column))
             if stmt.pred.kind == "equals":
                 referenced.add(stmt.pred.var)
-                if stmt.pred.var not in state.env:
+                if stmt.pred.var not in env:
                     diags.append(Diagnostic(ERROR, "UndeclaredVariable",
                                             f"predicate tests undeclared"
                                             f" variable {stmt.pred.var}",
@@ -152,4 +142,4 @@ def analyze(ast: ProgramAst) -> tuple[StaticState, list[Diagnostic]]:
                                     f"variable {decl.name} is never used",
                                     decl.line, decl.column))
 
-    return state, sort_diagnostics(diags)
+    return env, sort_diagnostics(diags)

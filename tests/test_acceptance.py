@@ -49,7 +49,6 @@ from easytime.runtime import (
 )
 from easytime.semantics import (
     CategoryMap,
-    StaticState,
     VarMeta,
     analyze,
     decl_sequence,
@@ -108,8 +107,8 @@ def compiled(name: str, dialect="pp"):
 def test_criterion_1_declaration_semantics():
     with criterion(1, "declaration semantics of the three reference declarations", 1.0):
         ast = parse_source(program_source("decls"), easytime_pp())
-        state = decl_sequence(ast.decls, StaticState.empty())
-        assert state.env == {
+        state = decl_sequence(ast.decls, {})
+        assert state == {
             "ROUND1": VarMeta("ROUND1", CategoryMap.constant(50), is_dynamic=False),
             "ROUND2": VarMeta("ROUND2", CategoryMap.of_arms({1: 20, 2: 10}), is_dynamic=False),
             "PENALTY": VarMeta("PENALTY", CategoryMap.undefined(), is_dynamic=True),
@@ -123,8 +122,8 @@ def test_criterion_2_sequencing_law():
             taken: set[str] = set()
             d1 = [random_var_decl(rng, taken) for _ in range(rng.randint(0, 6))]
             d2 = [random_var_decl(rng, taken) for _ in range(rng.randint(0, 6))]
-            joined = decl_sequence(d1 + d2, StaticState.empty())
-            staged = decl_sequence(d2, decl_sequence(d1, StaticState.empty()))
+            joined = decl_sequence(d1 + d2, {})
+            staged = decl_sequence(d2, decl_sequence(d1, {}))
             assert joined == staged
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import gc
 import io
 import os
@@ -43,7 +44,7 @@ from easytime.runtime import (
     race_results,
     step_events,
 )
-from easytime.semantics import StaticState, decl_sequence
+from easytime.semantics import decl_sequence
 
 
 # --- roster -----------------------------------------------------------
@@ -479,6 +480,38 @@ def test_listener_closes_its_socket_when_bind_rejects_the_port():
     gc.collect()
 
 
+def out_of_descriptors(*args):
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+@pytest.mark.parametrize("target", ["socket.socketpair", "selectors.DefaultSelector"])
+def test_listener_closes_what_it_opened_when_start_up_fails(monkeypatch, target):
+    # a leaked socket fails the suite through the ResourceWarning filter
+    monkeypatch.setattr(f"easytime.listener.{target}", out_of_descriptors)
+    with pytest.raises(OSError):
+        listen_auto(0, Collector())
+    gc.collect()
+
+
+def test_listener_keeps_a_connection_reported_readable_with_nothing_to_read():
+    # select(2) may report a socket readable whose read still blocks, as after a bad checksum
+    listener = AutoAgentListener(0, Collector())
+    try:
+        with connect(listener.port) as (sock, chat):
+            listener._accept()
+            (key,) = [key for key in listener._selector.get_map().values() if key.data]
+            listener._read(key.fileobj, key.data)  # nothing sent, so recv would block
+            assert key in listener._selector.get_map().values()
+            listener.start()
+            chat.write("3,TAG007,61000\n")
+            chat.flush()
+            assert chat.readline().strip() == "OK"
+    finally:
+        listener.stop()
+        if listener._thread is None:  # serve, once stopped, only closes every socket
+            listener.serve()
+
+
 def test_listener_answers_non_ascii_line_and_keeps_connection():
     sink = Collector()
     with listen_auto(0, sink) as listener:
@@ -799,7 +832,7 @@ def random_race(rng: random.Random):
     ids = rng.sample(range(1, 60), rng.choice((0, rng.randint(1, 14))))  # out of id order
     roster = [Runner(rid, f"R{rid}", name(), name(), rng.choice(GENDERS), rng.randint(0, 2))
               for rid in ids]
-    return ast, init_race(decl_sequence(list(decls), StaticState.empty()), roster)
+    return ast, init_race(decl_sequence(list(decls), {}), roster)
 
 
 def step_random_events(rng: random.Random, ast, race) -> set[str]:
@@ -873,14 +906,14 @@ def test_property_each_serve_snapshot_writes_the_files_of_write_results(tmp_path
 
 
 def test_export_of_an_empty_roster_writes_a_header_only_table_ungrouped(tmp_path):
-    race = init_race(decl_sequence([VarDecl("T", "dynamic")], StaticState.empty()), [])
+    race = init_race(decl_sequence([VarDecl("T", "dynamic")], {}), [])
     assert _export_race(race, tmp_path, "T") == [os.path.join(tmp_path, "results.csv")]
     assert (tmp_path / "results.csv").read_bytes() == b"rank,id,last_name,first_name,gender,category,T\r\n"
     assert _export_race(race, tmp_path / "grouped", "T", "category") == []
 
 
 def test_export_checks_rank_and_grouping_before_writing(tmp_path):
-    race = init_race(decl_sequence([VarDecl("T", "dynamic")], StaticState.empty()),
+    race = init_race(decl_sequence([VarDecl("T", "dynamic")], {}),
                      [Runner(1, "R1", "Novak", "Ana", "female", 1)])
     with pytest.raises(UnknownVariableError):
         _export_race(race, tmp_path / "out", rank_var="NOPE")
@@ -890,7 +923,7 @@ def test_export_checks_rank_and_grouping_before_writing(tmp_path):
 
 
 def test_export_keeps_the_old_table_when_a_write_fails(tmp_path, monkeypatch):
-    race = init_race(decl_sequence([VarDecl("T", "dynamic")], StaticState.empty()),
+    race = init_race(decl_sequence([VarDecl("T", "dynamic")], {}),
                      [Runner(1, "R1", "Novak", "Ana", "female", 1)])
     _export_race(race, tmp_path, "T")
     before = (tmp_path / "results.csv").read_bytes()
@@ -911,8 +944,7 @@ def test_export_keeps_the_old_table_when_a_write_fails(tmp_path, monkeypatch):
 
 
 def test_export_holds_one_group_at_a_time(tmp_path):
-    state = decl_sequence([VarDecl("T", "dynamic"), VarDecl("N", "plain", value=1)],
-                          StaticState.empty())
+    state = decl_sequence([VarDecl("T", "dynamic"), VarDecl("N", "plain", value=1)], {})
     roster = [Runner(i, f"R{i}", f"Last{i % 50}", f"First{i % 40}", GENDERS[i % 2], i // 2 % 10)
               for i in range(20_000)]
     race = init_race(state, roster)

@@ -37,7 +37,7 @@ from easytime.langdef import (
     prod,
 )
 from easytime.runtime import Event, LogEntry, RaceState, RaceWarning, ResultTable, Runner
-from easytime.semantics import CategoryMap, StaticState, VarMeta
+from easytime.semantics import CategoryMap, VarMeta
 
 
 def parse_error(source: str, lang) -> tuple:
@@ -147,7 +147,7 @@ def test_token_is_an_immutable_named_tuple():
         AgentDecl(1, "manual", "a.dat"), VarDecl("X", "plain", value=1), Predicate("true"),
         Statement(Predicate("true"), "upd", "X"), MeasuringPlace(1, 1, ()),
         ProgramAst((), (), ()), CategoryMap.constant(1), VarMeta("X", CategoryMap.undefined(), True),
-        StaticState.empty(), Diagnostic(ERROR, "Code", "message"),
+        Diagnostic(ERROR, "Code", "message"),
         Runner(1, "A", "L", "F", "male", 1), Event(1, "A", 10), RaceWarning("A", "X", "message"),
         LogEntry(Event(1, "A", 10), (), True), RaceState((), (), {}), ResultTable("", (), ()),
     ]

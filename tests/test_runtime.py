@@ -26,7 +26,7 @@ from easytime.runtime import (
     run_statements,
     step_events,
 )
-from easytime.semantics import ARMS, StaticState, analyze, decl_sequence
+from easytime.semantics import ARMS, VarMeta, analyze, decl_sequence
 
 ANA = Runner(1, "TAG001", "Novak", "Ana", "female", 1)
 MAJA = Runner(2, "TAG002", "Kovac", "Maja", "female", 2)
@@ -99,7 +99,7 @@ def test_init_race_warns_in_roster_then_variable_order():
         VarDecl("K", "plain", value=5),
         VarDecl("A", "categorized", arms=((2, 20),)),
         VarDecl("D", "dynamic"),
-    ], StaticState.empty())
+    ], {})
     roster = [Runner(i + 1, f"R{i}", "L", "F", "male", category)
               for i, category in enumerate((2, 1, 3, 2, 1))]
     race = init_race(state, roster)
@@ -145,7 +145,7 @@ def test_init_race_rejects_duplicate_runner_id():
         init_race(state, [ANA, Runner(1, "TAG009", "Dup", "Id", "male", 1)])
 
 
-def init_race_by_row(state: StaticState, roster: list[Runner]):
+def init_race_by_row(state: dict[str, VarMeta], roster: list[Runner]):
     """The reference: one walk over the rows, checking and warning as it goes.  Returns
     ``per_runner`` and the warnings, or the type and message of the first error."""
     seen_ids: set[int] = set()
@@ -158,8 +158,8 @@ def init_race_by_row(state: StaticState, roster: list[Runner]):
         seen_ids.add(runner.id)
         variables = starting.setdefault(runner.category, {
             name: None if meta.is_dynamic else meta.values.lookup(runner.category)
-            for name, meta in state.env.items()})
-        for name, meta in state.env.items():
+            for name, meta in state.items()})
+        for name, meta in state.items():
             if meta.values.kind == ARMS and runner.category not in meta.values.arms:
                 warnings.append(RaceWarning(
                     runner.rfid, name, f"runner {runner.id} ({runner.rfid}): no value for"
@@ -194,7 +194,7 @@ def test_init_race_by_column_equals_init_race_by_row():
                                      sorted(rng.sample(range(1, 6), rng.randint(1, 5)))))
                   for k in range(rng.randint(0, 3))]
         rng.shuffle(decls)
-        state = decl_sequence(decls, StaticState.empty())
+        state = decl_sequence(decls, {})
         roster = random_roster(rng)
         expected = init_race_by_row(state, roster)
         try:
@@ -588,8 +588,7 @@ def test_property_race_results_equal_the_direct_reference():
     for _ in range(60):
         n_vars = rng.choice((0, 1, 1, 2, 4))
         sizes.add(n_vars)
-        state = decl_sequence([VarDecl(f"V{i}", "dynamic") for i in range(n_vars)],
-                              StaticState.empty())
+        state = decl_sequence([VarDecl(f"V{i}", "dynamic") for i in range(n_vars)], {})
         ids = rng.sample(range(1, 100), rng.randint(1, 12))  # roster out of id order
         roster = [Runner(rid, f"R{rid}", f"Last{rid}", f"First{rid}",
                          rng.choice(("female", "male")), rng.randint(0, 3)) for rid in ids]

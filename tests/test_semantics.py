@@ -10,7 +10,6 @@ from easytime.langdef import easytime_base, easytime_pp
 from easytime.semantics import (
     CategoryMap,
     DuplicateDeclarationError,
-    StaticState,
     VarMeta,
     analyze,
     decl_meaning,
@@ -25,31 +24,31 @@ PROGRAM3_DECLS = (
 
 
 def test_plain_declaration_binds_constant_map():
-    state = decl_meaning(PROGRAM3_DECLS[0], StaticState.empty())
-    assert state.env["ROUND1"] == VarMeta(
+    state = decl_meaning(PROGRAM3_DECLS[0], {})
+    assert state["ROUND1"] == VarMeta(
         "ROUND1", CategoryMap.constant(50), is_dynamic=False
     )
 
 
 def test_categorized_declaration_binds_arms():
-    state = decl_meaning(PROGRAM3_DECLS[1], StaticState.empty())
-    assert state.env["ROUND2"] == VarMeta(
+    state = decl_meaning(PROGRAM3_DECLS[1], {})
+    assert state["ROUND2"] == VarMeta(
         "ROUND2", CategoryMap.of_arms({1: 20, 2: 10}), is_dynamic=False
     )
 
 
 def test_dynamic_declaration_binds_undefined_map():
-    state = decl_meaning(PROGRAM3_DECLS[2], StaticState.empty())
-    assert state.env["PENALTY"] == VarMeta(
+    state = decl_meaning(PROGRAM3_DECLS[2], {})
+    assert state["PENALTY"] == VarMeta(
         "PENALTY", CategoryMap.undefined(), is_dynamic=True
     )
 
 
 def test_program3_bindings_together():
-    state = decl_sequence(PROGRAM3_DECLS, StaticState.empty())
-    assert set(state.env) == {"ROUND1", "ROUND2", "PENALTY"}
+    state = decl_sequence(PROGRAM3_DECLS, {})
+    assert set(state) == {"ROUND1", "ROUND2", "PENALTY"}
     parsed = parse_source(program_source("decls"), easytime_pp())
-    assert decl_sequence(parsed.decls, StaticState.empty()) == state
+    assert decl_sequence(parsed.decls, {}) == state
 
 
 def test_constant_map_answers_every_category():
@@ -70,8 +69,8 @@ def test_arms_map_lookup():
 
 
 def test_dynamic_flag_tracks_declaration_form():
-    state = decl_sequence(PROGRAM3_DECLS, StaticState.empty())
-    assert [state.env[n].is_dynamic for n in ("ROUND1", "ROUND2", "PENALTY")] == [
+    state = decl_sequence(PROGRAM3_DECLS, {})
+    assert [state[n].is_dynamic for n in ("ROUND1", "ROUND2", "PENALTY")] == [
         False,
         False,
         True,
@@ -79,7 +78,7 @@ def test_dynamic_flag_tracks_declaration_form():
 
 
 def test_decl_sequence_of_nothing_is_identity():
-    state = decl_sequence(PROGRAM3_DECLS, StaticState.empty())
+    state = decl_sequence(PROGRAM3_DECLS, {})
     assert decl_sequence((), state) == state
 
 
@@ -89,25 +88,27 @@ def test_sequencing_law_on_random_disjoint_lists():
         taken: set[str] = set()
         d1 = [random_var_decl(rng, taken) for _ in range(rng.randint(0, 5))]
         d2 = [random_var_decl(rng, taken) for _ in range(rng.randint(0, 5))]
-        joined = decl_sequence(d1 + d2, StaticState.empty())
-        staged = decl_sequence(d2, decl_sequence(d1, StaticState.empty()))
+        joined = decl_sequence(d1 + d2, {})
+        staged = decl_sequence(d2, decl_sequence(d1, {}))
         assert joined == staged
 
 
 def test_redeclaration_is_an_error():
     decls = (VarDecl("X", "plain", value=1), VarDecl("X", "plain", value=2))
     with pytest.raises(DuplicateDeclarationError):
-        decl_sequence(decls, StaticState.empty())
+        decl_sequence(decls, {})
 
 
 def test_decl_meaning_does_not_mutate_input_state():
-    before = decl_meaning(PROGRAM3_DECLS[0], StaticState.empty())
-    env_copy = dict(before.env)
+    before = decl_meaning(PROGRAM3_DECLS[0], {})
+    env_copy = dict(before)
     decl_meaning(PROGRAM3_DECLS[2], before)
-    assert before.env == env_copy
-    # each empty state gets a dict of its own
-    assert StaticState.empty() == StaticState(env={})
-    assert StaticState.empty().env is not StaticState.empty().env
+    assert before == env_copy
+
+
+def test_decl_meaning_refuses_an_unknown_declaration_kind():
+    with pytest.raises(ValueError, match="unknown declaration kind 'weird'"):
+        decl_meaning(VarDecl("X", "weird"), {})
 
 
 def test_analyze_binds_as_decl_sequence_does_on_random_lists_with_repeats():
@@ -121,14 +122,14 @@ def test_analyze_binds_as_decl_sequence_does_on_random_lists_with_repeats():
             if decls and rng.random() < 0.3:  # a repeat, of any kind
                 decl = decl._replace(name=rng.choice(decls).name)
             decls.append(decl._replace(line=line, column=rng.randint(1, 9)))
-        state, repeats = StaticState.empty(), []
+        state, repeats = {}, []
         for decl in decls:
             try:
                 state = decl_sequence([decl], state)
             except DuplicateDeclarationError as exc:
                 repeats.append((f"variable {exc.name} declared twice", exc.line, exc.column))
         got, diags = analyze(ProgramAst((), tuple(decls), ()))
-        assert list(got.env.items()) == list(state.env.items())
+        assert list(got.items()) == list(state.items())
         assert [(d.message, d.line, d.column) for d in diags
                 if d.code == "DuplicateDeclaration"] == repeats
 
@@ -137,7 +138,7 @@ def test_analyze_ironman_is_clean():
     ast = parse_source(program_source("ironman"), easytime_base())
     state, diags = analyze(ast)
     assert diags == []
-    assert set(state.env) == {
+    assert set(state) == {
         "ROUND1", "ROUND2", "ROUND3", "INTER1", "INTER2", "INTER3",
         "SWIM", "BIKE", "RUN", "TRANS1", "TRANS2",
     }

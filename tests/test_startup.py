@@ -32,7 +32,7 @@ HOMES = {
     "easytime.langdef": ("LanguageDef", "LanguageFragment", "compose_language", "easytime_base",
                          "easytime_pp", "easytime_pp_fragment", "validate_language"),
     "easytime.frontend": ("ProgramAst", "parse", "parse_source", "pretty", "tokenize"),
-    "easytime.semantics": ("StaticState", "analyze", "decl_meaning", "decl_sequence"),
+    "easytime.semantics": ("analyze", "decl_meaning", "decl_sequence"),
     "easytime.runtime": ("Event", "RaceState", "Runner", "apply_event", "eval_predicate",
                          "init_race", "race_results", "replay"),
     "easytime.agents_io": ("listen_auto", "load_runners", "read_event_log", "write_results"),
