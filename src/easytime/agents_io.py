@@ -27,7 +27,8 @@ import os
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 
-from .runtime import GENDERS, RUNNER_COLUMNS, Event, InputError, ResultTable, Runner, _ranked_groups
+from .runtime import (GENDERS, RUNNER_COLUMNS, Event, InputError, ResultTable, Runner,
+                      _event_order, _ranked_groups)
 
 ROSTER_HEADER = ["id", "rfid", "last_name", "first_name", "gender", "category"]
 _HEADER_LINE = ",".join(ROSTER_HEADER)
@@ -219,7 +220,7 @@ def _parse_events(lines: Iterable[str]) -> list[Event]:
                 events.append(event)
         except MalformedEventError as exc:
             raise MalformedEventError(exc.reason, line=lineno) from None
-    events.sort(key=lambda e: e.timestamp_ms)  # sort() is stable
+    events.sort(key=_event_order)
     return events
 
 

@@ -10,9 +10,9 @@ written, with only its header for an empty roster.
 Exit codes: 0 success, 1 language error (lex/parse/semantic, an unknown
 ``--rank`` variable, events aimed at unknown measuring places), 2 I/O or
 data-file error (a ``runtime.InputError`` raised reading a roster or event file).
-A failing step raises ``_Failure`` with its exit code and message; ``main`` alone
-prints ``error: <message>`` and returns the code.  The one failure that does not
-end a command is a ``serve`` snapshot export, which is reported and serving goes on.
+A failing step raises ``_Failure`` with its exit code and message, through ``_io_failure``
+for an ``OSError``; ``main`` alone prints ``error: <message>`` and returns the code.  A
+``serve`` snapshot export is the one failure that does not end a command: serving goes on.
 
 Each command loads the layers it runs: ``check`` the compiler (``langdef``,
 ``diagnostics``, ``frontend``, ``semantics``) and ``runtime``, whose groupings and
@@ -37,6 +37,7 @@ from .runtime import (
     InputError,
     UnknownMeasuringPlaceError,
     UnknownVariableError,
+    _event_order,
     check_rank_var,
     init_race,
     place_statements,
@@ -67,14 +68,22 @@ def _read_source(path: str) -> str:
         return handle.read()
 
 
+@contextlib.contextmanager
+def _io_failure(doing: str):
+    """An ``OSError`` in the block ends the command with exit 2: ``<doing>: <the reason>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Failure(EXIT_IO, f"{doing}: {exc.strerror}")
+
+
 def _read(path, reader):
     """``reader(path)``; file and data errors become exit-2 failures naming ``path``."""
-    try:
-        return reader(path)
-    except OSError as exc:
-        raise _Failure(EXIT_IO, f"cannot read {path}: {exc.strerror}")
-    except InputError as exc:
-        raise _Failure(EXIT_IO, f"{path}: {exc}")
+    with _io_failure(f"cannot read {path}"):
+        try:
+            return reader(path)
+        except InputError as exc:
+            raise _Failure(EXIT_IO, f"{path}: {exc}")
 
 
 def _compile(path: str, dialect: str):
@@ -104,10 +113,8 @@ def _out_dir(args) -> str:
 def _export_results(race, args, out_dir: str) -> None:
     from .agents_io import _export_race
 
-    try:
+    with _io_failure("cannot write results"):
         _export_race(race, out_dir, args.rank, args.group)
-    except OSError as exc:
-        raise _Failure(EXIT_IO, f"cannot write results: {exc.strerror}")
 
 
 def _start(args, event_paths, read_events):
@@ -125,7 +132,7 @@ def _start(args, event_paths, read_events):
     events = []
     for path in event_paths:
         events.extend(_read(path, read_events))
-    events.sort(key=lambda e: e.timestamp_ms)
+    events.sort(key=_event_order)
 
     # one write: a large roster can warn thousands of times, and stderr is line-buffered
     sys.stderr.write("".join(f"warning: {warning.message}\n" for warning in race.warnings))
@@ -143,11 +150,9 @@ def cmd_run(args) -> None:
 
     _, race, events = _start(args, args.events, read_event_log)
     out_dir = _out_dir(args)
-    try:
+    with _io_failure("cannot write journal"):
         os.makedirs(out_dir, exist_ok=True)
         write_event_log(events, os.path.join(out_dir, JOURNAL_NAME))
-    except OSError as exc:
-        raise _Failure(EXIT_IO, f"cannot write journal: {exc.strerror}")
     del events  # journaled, so the export holds only the race
     _export_results(race, args, out_dir)
 
@@ -173,10 +178,8 @@ def _resume_journal(path) -> list:
     to its last newline, so the next append starts a line of its own."""
     events, torn = _journal_events(path)
     if torn:
-        try:
+        with _io_failure("cannot repair journal"):
             os.truncate(path, os.path.getsize(path) - len(torn))
-        except OSError as exc:
-            raise _Failure(EXIT_IO, f"cannot repair journal: {exc.strerror}")
     return events
 
 
@@ -189,11 +192,9 @@ def cmd_serve(args) -> None:
     # a restart resumes the journal a previous serve left behind
     resumed = [journal_path] if os.path.exists(journal_path) else []
     ast, race, _ = _start(args, resumed, _resume_journal)
-    try:
+    with _io_failure("cannot open journal"):
         os.makedirs(out_dir, exist_ok=True)
         journal = open(journal_path, "a", encoding="ascii")
-    except OSError as exc:
-        raise _Failure(EXIT_IO, f"cannot open journal: {exc.strerror}")
 
     applied = 0
     statements = place_statements(ast)
@@ -217,18 +218,17 @@ def cmd_serve(args) -> None:
             listener.stop()
 
     with journal:
-        try:
+        with _io_failure(f"cannot bind port {args.port}"):
             listener = AutoAgentListener(args.port, sink)
-        except OSError as exc:
-            raise _Failure(EXIT_IO, f"cannot bind port {args.port}: {exc.strerror}")
         # a signal ends the loop between events, never inside the sink, and cannot cut the
         # export short; set before the banner, so a signal right after it still exports
         handlers = [(signum, signal.signal(signum, lambda *_: listener.stop()))
                     for signum in (signal.SIGINT, signal.SIGTERM)]
-        try:
-            print(f"listening on port {listener.port}", flush=True)
-            listener.serve()
-            _export_results(race, args, out_dir)
+        try:  # leaving the listener's block frees the port, also if the banner fails
+            with listener:
+                print(f"listening on port {listener.port}", flush=True)
+                listener.serve()
+                _export_results(race, args, out_dir)
         finally:  # an in-process caller gets its own handlers back
             for signum, handler in handlers:
                 signal.signal(signum, handler)

@@ -1,13 +1,15 @@
 """TCP listener for automatic agents, loaded by ``serve`` and ``agents_io.listen_auto``.
 
-``threading`` loads only when ``start`` serves on a thread of its own, which the
-``serve`` command never does, and ``logging`` only to log a failed sink.  A record below WARNING is made only if
-``logging`` is already loaded: until then no handler exists, and logging's last resort
-would drop the record anyway.
+Its sockets close in one place, ``_release``: as ``serve`` ends, or on leaving a ``with``
+block if ``serve`` never started.  ``threading`` loads only for ``start``'s thread, which
+the ``serve`` command never uses, and ``logging`` only to log a failed sink: a record below
+WARNING is made only if it is loaded, since logging's last resort would drop it anyway.
 """
 
 from __future__ import annotations
 
+import _thread
+import contextlib
 import errno
 import select
 import selectors
@@ -38,30 +40,27 @@ class AutoAgentListener:
 
     def __init__(self, port: int, sink):
         self._sink = sink
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        opened = [self._server]  # closed if start-up fails, out of descriptors say
-        try:
+        with contextlib.ExitStack() as opened:  # closes all if start-up fails, out of fds say
+            self._server = opened.enter_context(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
             self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._server.bind(("0.0.0.0", port))
+            self._server.bind(("0.0.0.0", port))  # OverflowError for a port out of range
             self._server.listen()
             self._server.setblocking(False)
             self.port = self._server.getsockname()[1]
-            self._wake_r, self._wake_w = socket.socketpair()
-            opened += (self._wake_r, self._wake_w)
-            self._selector = selectors.DefaultSelector()
-            opened.append(self._selector)
+            self._wake_r, self._wake_w = map(opened.enter_context, socket.socketpair())
+            self._selector = opened.enter_context(selectors.DefaultSelector())
             self._selector.register(self._server, selectors.EVENT_READ)
             self._selector.register(self._wake_r, selectors.EVENT_READ)
-        except BaseException:  # OSError, or OverflowError for a port out of range
-            for resource in opened:
-                resource.close()
-            raise
+            opened.pop_all()  # started: _release closes them from here on
         self._stopping = False  # set by stop(), which then closes _wake_w to wake the loop
+        self._serving = False  # set by serve(), which then releases every socket itself
+        self._released = False
         self._thread = None
         _log("info", "listening on port %d", self.port)
 
     def serve(self) -> None:
         """Serve on the calling thread until ``stop``, then close every socket."""
+        self._serving = True
         try:
             while not self._stopping:
                 for key, _ in self._selector.select():
@@ -72,6 +71,12 @@ class AutoAgentListener:
                         break  # it may close a connection later in this batch; select() again
                     self._read(key.fileobj, key.data)
         finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Close every registered socket, the selector and ``_wake_w``; again, do nothing."""
+        if not self._released:
+            self._released = True
             for key in self._selector.get_map().values():
                 key.fileobj.close()
             self._selector.close()
@@ -146,20 +151,19 @@ class AutoAgentListener:
         """End ``serve`` between events; later lines reach no sink and get no reply.  Safe
         from the sink, a signal handler or another thread; from another, returns once
         ``start()``'s thread has closed every socket.  Every ``OK`` sent was for an event
-        the sink returned from."""
+        the sink returned from.  Closes ``_wake_w`` alone; ``_release`` closes the rest."""
         self._stopping = True
         self._wake_w.close()  # _wake_r reads end of file, which ends the loop's select()
-        if self._thread is not None:  # start() ran, so threading is loaded
-            import threading
-
-            if self._thread is not threading.current_thread():
-                self._thread.join()
+        if self._thread is not None and self._thread.ident != _thread.get_ident():
+            self._thread.join()
 
     def __enter__(self) -> "AutoAgentListener":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+        if not self._serving:  # a serve() under way, on any thread, closes them as it ends
+            self._release()
 
 
 def _log(level: str, message: str, *args) -> None:

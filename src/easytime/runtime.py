@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from itertools import compress
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .frontend import Predicate, ProgramAst, Statement
 from .semantics import ARMS, VarMeta
@@ -63,6 +63,7 @@ class UnknownVariableError(Exception):
 Runner = namedtuple("Runner", "id rfid last_name first_name gender category")
 Event = namedtuple("Event", "mp_id rfid timestamp_ms payload", defaults=(None,))
 Event.__doc__ = "One crossing or device reading."
+_event_order = attrgetter("timestamp_ms")  # the order events apply in; ties stay as read
 
 RaceWarning = namedtuple("RaceWarning", "rfid variable message")
 LogEntry = namedtuple("LogEntry", "event fired matched")  # fired: the statements that ran
@@ -282,15 +283,12 @@ def race_results(
     unranked.
     """
     names = race.var_names
-    # the tuple of a runner's variables at names; itemgetter needs two names to return one
-    cells = (itemgetter(*names) if len(names) > 1
-             else lambda variables: tuple(variables[name] for name in names))
     per_runner = race.per_runner
     tables = []
     for label, runners, ranked in _ranked_groups(race, rank_var, group_by):
         rows = tuple((place if place <= ranked else None, runner.id, runner.last_name,
                       runner.first_name, runner.gender, runner.category)
-                     + cells(per_runner[runner.rfid])
+                     + tuple(map(per_runner[runner.rfid].__getitem__, names))
                      for place, runner in enumerate(runners, 1))
         tables.append(ResultTable(label, RUNNER_COLUMNS + names, rows, rank_var))
     return tables

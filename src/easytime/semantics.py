@@ -77,9 +77,10 @@ def _meta(decl: VarDecl, env: dict[str, VarMeta]) -> VarMeta:
 
 
 def decl_sequence(decls, env: dict[str, VarMeta]) -> dict[str, VarMeta]:
-    """Left fold of decl_meaning from ``env``: later declarations see earlier bindings."""
+    """decl_meaning folded from ``env``, copied once: later declarations see earlier ones."""
+    env = dict(env)
     for decl in decls:
-        env = decl_meaning(decl, env)
+        env[decl.name] = _meta(decl, env)
     return env
 
 
@@ -87,7 +88,7 @@ def analyze(ast: ProgramAst) -> tuple[dict[str, VarMeta], list[Diagnostic]]:
     """The program's static state, from each name's first declaration, and its diagnostics."""
     diags: list[Diagnostic] = []
 
-    # decl_sequence's fold, bound into one dict: copying it per declaration is quadratic
+    # decl_sequence's binding, but a repeated name is reported and the rest still bound
     env: dict[str, VarMeta] = {}
     bound = []  # the declarations that bound a name: the first of each
     for decl in ast.decls:

@@ -495,8 +495,7 @@ def test_listener_closes_what_it_opened_when_start_up_fails(monkeypatch, target)
 
 def test_listener_keeps_a_connection_reported_readable_with_nothing_to_read():
     # select(2) may report a socket readable whose read still blocks, as after a bad checksum
-    listener = AutoAgentListener(0, Collector())
-    try:
+    with AutoAgentListener(0, Collector()) as listener:
         with connect(listener.port) as (sock, chat):
             listener._accept()
             (key,) = [key for key in listener._selector.get_map().values() if key.data]
@@ -506,10 +505,21 @@ def test_listener_keeps_a_connection_reported_readable_with_nothing_to_read():
             chat.write("3,TAG007,61000\n")
             chat.flush()
             assert chat.readline().strip() == "OK"
-    finally:
-        listener.stop()
-        if listener._thread is None:  # serve, once stopped, only closes every socket
-            listener.serve()
+
+
+def test_leaving_a_with_block_closes_a_listener_that_never_served():
+    # a leaked socket fails the suite through the ResourceWarning filter
+    with AutoAgentListener(0, Collector()):
+        pass
+    gc.collect()
+
+
+def test_a_listener_closed_unserved_serves_no_more_and_closes_nothing_twice():
+    with AutoAgentListener(0, Collector()) as listener:
+        pass
+    assert [sock.fileno() for sock in (listener._server, listener._wake_r, listener._wake_w)] \
+        == [-1, -1, -1]
+    listener.serve()  # stopped and closed: returns at once
 
 
 def test_listener_answers_non_ascii_line_and_keeps_connection():

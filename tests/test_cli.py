@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import os
 import signal
@@ -17,6 +18,7 @@ import pytest
 
 from conftest import FIXTURES, SRC, program_source
 from easytime import cli
+from easytime import listener as listener_module
 from easytime.agents_io import load_runners, parse_event_line, read_journal, write_results
 from easytime.cli import _resume_journal, build_parser, main
 from easytime.frontend import parse_source
@@ -837,6 +839,49 @@ def test_serve_in_process_puts_back_the_signal_handlers_it_found(tmp_path, monke
             sender.join(timeout=10)
     assert replies == ["OK"]
     assert [signal.getsignal(signum) for signum in (signal.SIGINT, signal.SIGTERM)] == before
+
+
+class BrokenPipeOut(io.StringIO):
+    """A standard output whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_serve_in_process_frees_its_port_when_the_banner_cannot_be_written(tmp_path, monkeypatch):
+    before = [signal.getsignal(signum) for signum in (signal.SIGINT, signal.SIGTERM)]
+    built = []
+
+    class Listener(listener_module.AutoAgentListener):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(listener_module, "AutoAgentListener", Listener)
+    monkeypatch.setattr(sys, "stdout", BrokenPipeOut())
+    with pytest.raises(BrokenPipeError):
+        main(serve_command(tmp_path / "served", "--port", "0")[3:])
+    (listener,) = built
+    assert listener._server.fileno() == -1
+    with socket.socket() as probe:  # the port is free again
+        probe.bind(("0.0.0.0", listener.port))
+    assert [signal.getsignal(signum) for signum in (signal.SIGINT, signal.SIGTERM)] == before
+
+
+def test_serve_that_cannot_cut_a_torn_journal_line_is_an_io_error(tmp_path, capsys, monkeypatch):
+    journal = tmp_path / "served" / "journal.log"
+    journal.parent.mkdir()
+    journal.write_bytes(b"1,BI001,1000,60\n2,BI001,2")
+
+    def refuse(path, length):
+        raise OSError(errno.EROFS, os.strerror(errno.EROFS))
+
+    monkeypatch.setattr(cli.os, "truncate", refuse)
+    assert main(serve_command(tmp_path / "served", "--port", "0")[3:]) == 2
+    assert capsys.readouterr() == (
+        "", f"warning: {journal}: dropped 9 bytes of a torn last line: '2,BI001,2'\n"
+            f"error: cannot repair journal: {os.strerror(errno.EROFS)}\n")
+    assert journal.read_bytes() == b"1,BI001,1000,60\n2,BI001,2"
 
 
 # a child whose sink runs BEFORE_STEP after each journal write, just before the step

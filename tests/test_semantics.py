@@ -106,6 +106,14 @@ def test_decl_meaning_does_not_mutate_input_state():
     assert before == env_copy
 
 
+def test_decl_sequence_does_not_mutate_input_state():
+    before = decl_sequence(PROGRAM3_DECLS[:1], {})
+    env_copy = dict(before)
+    after = decl_sequence(PROGRAM3_DECLS[1:], before)
+    assert before == env_copy
+    assert list(after) == ["ROUND1", "ROUND2", "PENALTY"]
+
+
 def test_decl_meaning_refuses_an_unknown_declaration_kind():
     with pytest.raises(ValueError, match="unknown declaration kind 'weird'"):
         decl_meaning(VarDecl("X", "weird"), {})
