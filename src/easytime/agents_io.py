@@ -30,7 +30,7 @@ from itertools import chain, repeat
 from .runtime import (GENDERS, RUNNER_COLUMNS, Event, InputError, ResultTable, Runner,
                       _event_order, _ranked_groups)
 
-ROSTER_HEADER = ["id", "rfid", "last_name", "first_name", "gender", "category"]
+ROSTER_HEADER = list(Runner._fields)
 _HEADER_LINE = ",".join(ROSTER_HEADER)
 _GENDERS = {gender: gender for gender in GENDERS}  # runners share one string per gender
 

@@ -9,7 +9,8 @@ written, with only its header for an empty roster.
 
 Exit codes: 0 success, 1 language error (lex/parse/semantic, an unknown
 ``--rank`` variable, events aimed at unknown measuring places), 2 I/O or
-data-file error (a ``runtime.InputError`` raised reading a roster or event file).
+data-file error (a ``runtime.InputError`` raised reading a roster or event file),
+also for a standard output whose reader has gone.
 A failing step raises ``_Failure`` with its exit code and message, through ``_io_failure``
 for an ``OSError``; ``main`` alone prints ``error: <message>`` and returns the code.  A
 ``serve`` snapshot export is the one failure that does not end a command: serving goes on.
@@ -311,11 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        try:
+            args.func(args)
+        finally:  # flush here, not at exit, so a closed stdout fails below; no-op if stdout is None
+            print(end="", flush=True)
     except _Failure as exc:
         if str(exc):
             print(f"error: {exc}", file=sys.stderr)
         return exc.status
+    except BrokenPipeError as exc:  # stdout's reader has gone
+        if sys.stdout is sys.__stdout__:  # flushed again at exit: to devnull, so that passes
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

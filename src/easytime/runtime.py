@@ -22,7 +22,7 @@ from itertools import compress
 from operator import attrgetter
 
 from .frontend import Predicate, ProgramAst, Statement
-from .semantics import ARMS, VarMeta
+from .semantics import CategoryMap
 
 GENDERS = ("female", "male")
 
@@ -77,12 +77,12 @@ RaceState = namedtuple("RaceState", "roster var_names per_runner log warnings",
 ResultTable = namedtuple("ResultTable", "label columns rows rank_var", defaults=(None,))
 
 
-def init_race(env: dict[str, VarMeta], roster: list[Runner] | tuple[Runner, ...]) -> RaceState:
+def init_race(env: dict[str, CategoryMap], roster: list[Runner] | tuple[Runner, ...]) -> RaceState:
     """Instantiate per-runner variables from the static state ``env``.
 
-    Each variable starts at its category map's value at the runner's category, so
-    dynamic variables start undefined.  A categorized variable with no arm
-    for a runner's category starts undefined and is reported as a warning.
+    Each variable starts at its category map's value at the runner's category:
+    the map's arm for it, else its default, so dynamic variables start undefined.
+    A variable with arms but none for a runner's category is reported as a warning.
     The values are worked out once per category and shared by its runners.
     Raises DuplicateRfidError or DuplicateRunnerIdError if an rfid or a
     runner id appears twice in the roster.  The roster is mapped and checked
@@ -90,15 +90,15 @@ def init_race(env: dict[str, VarMeta], roster: list[Runner] | tuple[Runner, ...]
     """
     roster = tuple(roster)
     rfid_of, id_of, category_of = attrgetter("rfid"), attrgetter("id"), attrgetter("category")
-    starting = {category: {name: meta.values.lookup(category) for name, meta in env.items()}
+    starting = {category: {name: values.lookup(category) for name, values in env.items()}
                 for category in set(map(category_of, roster))}
     per_runner: dict[str, RunnerVars] = dict(
         zip(map(rfid_of, roster), map(starting.__getitem__, map(category_of, roster))))
     if len(per_runner) < len(roster) or len(set(map(id_of, roster))) < len(roster):
         _raise_first_duplicate(roster)
-    missing = {category: names for category, variables in starting.items()
-               if (names := [name for name, meta in env.items()
-                             if meta.values.kind == ARMS and variables[name] is None])}
+    missing = {category: names for category in starting
+               if (names := [name for name, values in env.items()
+                             if values.arms and category not in values.arms])}
     warnings = tuple(
         RaceWarning(runner.rfid, name,
                     f"runner {runner.id} ({runner.rfid}): no value for"

@@ -1,10 +1,11 @@
 """Static meaning of declarations and whole-program checks.
 
 A program's declarations denote its static state: a dict from each variable
-name, in declaration order, to a ``VarMeta`` of a category-to-integer map and a
-dynamic flag.  Plain declarations bind a constant map, categorized declarations
-bind a finite map, and dynamic declarations bind the everywhere-undefined map
-with the flag set; their per-runner values appear only at run time.
+name, in declaration order, to a ``CategoryMap``, a category-to-integer map made
+of its arms and a default.  Each declaration form means its arms plus its value:
+a plain declaration has no arms and its value as the default, a categorized one
+its arms and no default, and a dynamic one neither, so it is undefined in every
+category until run time gives each runner its value.
 """
 
 from __future__ import annotations
@@ -14,38 +15,26 @@ from collections import namedtuple
 from .diagnostics import ERROR, WARNING, Diagnostic, sort_diagnostics
 from .frontend import ProgramAst, VarDecl
 
-CONSTANT = "constant"
-ARMS = "arms"
-UNDEFINED = "undefined"
 
-
-# kind is CONSTANT, ARMS or UNDEFINED
-class CategoryMap(namedtuple("CategoryMap", "kind value arms", defaults=(None, None))):
-    """Total function from category to integer-or-undefined."""
+class CategoryMap(namedtuple("CategoryMap", "arms default")):
+    """Total function from category to integer-or-undefined: ``arms``, else ``default``."""
 
     __slots__ = ()
 
     @classmethod
     def constant(cls, value: int) -> "CategoryMap":
-        return cls(CONSTANT, value=value)
+        return cls({}, value)
 
     @classmethod
     def of_arms(cls, arms: dict[int, int]) -> "CategoryMap":
-        return cls(ARMS, arms=dict(arms))
+        return cls(dict(arms), None)
 
     @classmethod
     def undefined(cls) -> "CategoryMap":
-        return cls(UNDEFINED)
+        return cls({}, None)
 
     def lookup(self, category: int) -> int | None:
-        if self.kind == CONSTANT:
-            return self.value
-        if self.kind == ARMS:
-            return self.arms.get(category)
-        return None
-
-
-VarMeta = namedtuple("VarMeta", "name values is_dynamic")
+        return self.arms.get(category, self.default)
 
 
 class DuplicateDeclarationError(Exception):
@@ -56,27 +45,21 @@ class DuplicateDeclarationError(Exception):
         self.column = column
 
 
-def decl_meaning(decl: VarDecl, env: dict[str, VarMeta]) -> dict[str, VarMeta]:
+def decl_meaning(decl: VarDecl, env: dict[str, CategoryMap]) -> dict[str, CategoryMap]:
     """A new dict, ``env`` with ``decl`` bound; rebinding a name is an error."""
     return {**env, decl.name: _meta(decl, env)}
 
 
-def _meta(decl: VarDecl, env: dict[str, VarMeta]) -> VarMeta:
+def _meta(decl: VarDecl, env: dict[str, CategoryMap]) -> CategoryMap:
     """What ``decl`` binds its name to, given the bindings ``env`` before it."""
     if decl.name in env:
         raise DuplicateDeclarationError(decl.name, decl.line, decl.column)
-    if decl.kind == "plain":
-        values = CategoryMap.constant(decl.value)
-    elif decl.kind == "categorized":
-        values = CategoryMap.of_arms(decl.arms)
-    elif decl.kind == "dynamic":
-        values = CategoryMap.undefined()
-    else:
+    if decl.kind not in ("plain", "categorized", "dynamic"):
         raise ValueError(f"unknown declaration kind {decl.kind!r}")
-    return VarMeta(decl.name, values, decl.kind == "dynamic")
+    return CategoryMap(dict(decl.arms or ()), decl.value)
 
 
-def decl_sequence(decls, env: dict[str, VarMeta]) -> dict[str, VarMeta]:
+def decl_sequence(decls, env: dict[str, CategoryMap]) -> dict[str, CategoryMap]:
     """decl_meaning folded from ``env``, copied once: later declarations see earlier ones."""
     env = dict(env)
     for decl in decls:
@@ -84,12 +67,12 @@ def decl_sequence(decls, env: dict[str, VarMeta]) -> dict[str, VarMeta]:
     return env
 
 
-def analyze(ast: ProgramAst) -> tuple[dict[str, VarMeta], list[Diagnostic]]:
+def analyze(ast: ProgramAst) -> tuple[dict[str, CategoryMap], list[Diagnostic]]:
     """The program's static state, from each name's first declaration, and its diagnostics."""
     diags: list[Diagnostic] = []
 
     # decl_sequence's binding, but a repeated name is reported and the rest still bound
-    env: dict[str, VarMeta] = {}
+    env: dict[str, CategoryMap] = {}
     bound = []  # the declarations that bound a name: the first of each
     for decl in ast.decls:
         try:

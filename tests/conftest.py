@@ -62,6 +62,20 @@ def random_var_decl(rng: random.Random, taken: set[str]) -> VarDecl:
     return VarDecl(name, "categorized", arms=arms)
 
 
+def declared_value(decl: VarDecl, category: int) -> int | None:
+    """The reference: a declaration's starting value in ``category``, by its form."""
+    if decl.kind == "plain":
+        return decl.value
+    if decl.kind == "categorized":
+        return dict(decl.arms).get(category)
+    return None  # dynamic: no value until run time
+
+
+def lacks_arm(decl: VarDecl, category: int) -> bool:
+    """The reference: a categorized declaration with no arm for ``category``."""
+    return decl.kind == "categorized" and category not in dict(decl.arms)
+
+
 def random_program(rng: random.Random) -> ProgramAst:
     """A structurally valid EasyTime++ program tree."""
     taken: set[str] = set()

@@ -49,7 +49,6 @@ from easytime.runtime import (
 )
 from easytime.semantics import (
     CategoryMap,
-    VarMeta,
     analyze,
     decl_sequence,
 )
@@ -109,9 +108,9 @@ def test_criterion_1_declaration_semantics():
         ast = parse_source(program_source("decls"), easytime_pp())
         state = decl_sequence(ast.decls, {})
         assert state == {
-            "ROUND1": VarMeta("ROUND1", CategoryMap.constant(50), is_dynamic=False),
-            "ROUND2": VarMeta("ROUND2", CategoryMap.of_arms({1: 20, 2: 10}), is_dynamic=False),
-            "PENALTY": VarMeta("PENALTY", CategoryMap.undefined(), is_dynamic=True),
+            "ROUND1": CategoryMap.constant(50),
+            "ROUND2": CategoryMap.of_arms({1: 20, 2: 10}),
+            "PENALTY": CategoryMap.undefined(),
         }
 
 

@@ -848,7 +848,8 @@ class BrokenPipeOut(io.StringIO):
         raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
 
 
-def test_serve_in_process_frees_its_port_when_the_banner_cannot_be_written(tmp_path, monkeypatch):
+def test_serve_in_process_frees_its_port_when_the_banner_cannot_be_written(
+        tmp_path, monkeypatch, capsys):
     before = [signal.getsignal(signum) for signum in (signal.SIGINT, signal.SIGTERM)]
     built = []
 
@@ -859,13 +860,41 @@ def test_serve_in_process_frees_its_port_when_the_banner_cannot_be_written(tmp_p
 
     monkeypatch.setattr(listener_module, "AutoAgentListener", Listener)
     monkeypatch.setattr(sys, "stdout", BrokenPipeOut())
-    with pytest.raises(BrokenPipeError):
-        main(serve_command(tmp_path / "served", "--port", "0")[3:])
+    assert main(serve_command(tmp_path / "served", "--port", "0")[3:]) == 2
+    assert capsys.readouterr().err == "error: cannot write standard output: Broken pipe\n"
     (listener,) = built
     assert listener._server.fileno() == -1
     with socket.socket() as probe:  # the port is free again
         probe.bind(("0.0.0.0", listener.port))
     assert [signal.getsignal(signum) for signum in (signal.SIGINT, signal.SIGTERM)] == before
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["check", "serve"])
+def test_a_closed_stdout_is_an_io_error(tmp_path, command, buffered):
+    # stdout's reader is gone before check prints its warning or serve its banner; the
+    # failure is one error line and exit 2, whether print writes at once or at a flush
+    with socket.socket() as probe:
+        probe.bind(("0.0.0.0", 0))
+        port = probe.getsockname()[1]
+    source = tmp_path / "warn.ez"
+    source.write_text('1 manual "m.dat";\nvar X := 1;\nvar Y := 2;\nmp[1] -> agnt[1] { (true) -> upd X; }\n')
+    argv = (serve_command(tmp_path / "served", "--port", port) if command == "serve"
+            else [sys.executable, "-m", "easytime.cli", "check", str(source)])
+    if not buffered:
+        argv.insert(1, "-u")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              cwd=SRC, env=env, timeout=20)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) \
+        == (2, f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n")
+    with socket.socket() as probe:  # serve's port is free again
+        probe.bind(("0.0.0.0", port))
 
 
 def test_serve_that_cannot_cut_a_torn_journal_line_is_an_io_error(tmp_path, capsys, monkeypatch):

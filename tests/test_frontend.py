@@ -37,7 +37,7 @@ from easytime.langdef import (
     prod,
 )
 from easytime.runtime import Event, LogEntry, RaceState, RaceWarning, ResultTable, Runner
-from easytime.semantics import CategoryMap, VarMeta
+from easytime.semantics import CategoryMap
 
 
 def parse_error(source: str, lang) -> tuple:
@@ -146,7 +146,7 @@ def test_token_is_an_immutable_named_tuple():
         LanguageDef("L", (rule,), {}, "A"), LanguageFragment("F"),
         AgentDecl(1, "manual", "a.dat"), VarDecl("X", "plain", value=1), Predicate("true"),
         Statement(Predicate("true"), "upd", "X"), MeasuringPlace(1, 1, ()),
-        ProgramAst((), (), ()), CategoryMap.constant(1), VarMeta("X", CategoryMap.undefined(), True),
+        ProgramAst((), (), ()), CategoryMap.constant(1),
         Diagnostic(ERROR, "Code", "message"),
         Runner(1, "A", "L", "F", "male", 1), Event(1, "A", 10), RaceWarning("A", "X", "message"),
         LogEntry(Event(1, "A", 10), (), True), RaceState((), (), {}), ResultTable("", (), ()),

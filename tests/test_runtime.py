@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import program_source, random_program
+from conftest import declared_value, lacks_arm, program_source, random_program
 from easytime.diagnostics import WARNING, Diagnostic
 from easytime.frontend import Predicate, Statement, VarDecl, parse_source
 from easytime.langdef import LexRule, easytime_base, easytime_pp
@@ -26,7 +26,7 @@ from easytime.runtime import (
     run_statements,
     step_events,
 )
-from easytime.semantics import ARMS, VarMeta, analyze, decl_sequence
+from easytime.semantics import analyze, decl_sequence
 
 ANA = Runner(1, "TAG001", "Novak", "Ana", "female", 1)
 MAJA = Runner(2, "TAG002", "Kovac", "Maja", "female", 2)
@@ -145,9 +145,10 @@ def test_init_race_rejects_duplicate_runner_id():
         init_race(state, [ANA, Runner(1, "TAG009", "Dup", "Id", "male", 1)])
 
 
-def init_race_by_row(state: dict[str, VarMeta], roster: list[Runner]):
-    """The reference: one walk over the rows, checking and warning as it goes.  Returns
-    ``per_runner`` and the warnings, or the type and message of the first error."""
+def init_race_by_row(decls: list[VarDecl], roster: list[Runner]):
+    """The reference: one walk over the rows, checking and warning as it goes, with each
+    value taken from its declaration's form.  Returns ``per_runner`` and the warnings, or
+    the type and message of the first error."""
     seen_ids: set[int] = set()
     per_runner, warnings, starting = {}, [], {}
     for runner in roster:
@@ -157,13 +158,12 @@ def init_race_by_row(state: dict[str, VarMeta], roster: list[Runner]):
             return DuplicateRunnerIdError, f"runner id {runner.id} appears twice in roster"
         seen_ids.add(runner.id)
         variables = starting.setdefault(runner.category, {
-            name: None if meta.is_dynamic else meta.values.lookup(runner.category)
-            for name, meta in state.items()})
-        for name, meta in state.items():
-            if meta.values.kind == ARMS and runner.category not in meta.values.arms:
+            decl.name: declared_value(decl, runner.category) for decl in decls})
+        for decl in decls:
+            if lacks_arm(decl, runner.category):
                 warnings.append(RaceWarning(
-                    runner.rfid, name, f"runner {runner.id} ({runner.rfid}): no value for"
-                                       f" category {runner.category} in {name}"))
+                    runner.rfid, decl.name, f"runner {runner.id} ({runner.rfid}): no value for"
+                                            f" category {runner.category} in {decl.name}"))
         per_runner[runner.rfid] = variables
     return per_runner, tuple(warnings)
 
@@ -196,7 +196,7 @@ def test_init_race_by_column_equals_init_race_by_row():
         rng.shuffle(decls)
         state = decl_sequence(decls, {})
         roster = random_roster(rng)
-        expected = init_race_by_row(state, roster)
+        expected = init_race_by_row(decls, roster)
         try:
             race = init_race(state, roster)
         except (DuplicateRfidError, DuplicateRunnerIdError) as exc:

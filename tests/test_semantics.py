@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from conftest import program_source, random_var_decl
+from conftest import declared_value, lacks_arm, program_source, random_var_decl
 from easytime.frontend import ProgramAst, VarDecl, parse_source
 from easytime.langdef import easytime_base, easytime_pp
+from easytime.runtime import Runner, init_race
 from easytime.semantics import (
     CategoryMap,
     DuplicateDeclarationError,
-    VarMeta,
     analyze,
     decl_meaning,
     decl_sequence,
@@ -25,23 +25,18 @@ PROGRAM3_DECLS = (
 
 def test_plain_declaration_binds_constant_map():
     state = decl_meaning(PROGRAM3_DECLS[0], {})
-    assert state["ROUND1"] == VarMeta(
-        "ROUND1", CategoryMap.constant(50), is_dynamic=False
-    )
+    assert state["ROUND1"] == CategoryMap.constant(50) == CategoryMap({}, 50)
 
 
 def test_categorized_declaration_binds_arms():
     state = decl_meaning(PROGRAM3_DECLS[1], {})
-    assert state["ROUND2"] == VarMeta(
-        "ROUND2", CategoryMap.of_arms({1: 20, 2: 10}), is_dynamic=False
-    )
+    assert state["ROUND2"] == CategoryMap.of_arms({1: 20, 2: 10}) \
+        == CategoryMap({1: 20, 2: 10}, None)
 
 
 def test_dynamic_declaration_binds_undefined_map():
     state = decl_meaning(PROGRAM3_DECLS[2], {})
-    assert state["PENALTY"] == VarMeta(
-        "PENALTY", CategoryMap.undefined(), is_dynamic=True
-    )
+    assert state["PENALTY"] == CategoryMap.undefined() == CategoryMap({}, None)
 
 
 def test_program3_bindings_together():
@@ -70,11 +65,32 @@ def test_arms_map_lookup():
 
 def test_dynamic_flag_tracks_declaration_form():
     state = decl_sequence(PROGRAM3_DECLS, {})
-    assert [state[n].is_dynamic for n in ("ROUND1", "ROUND2", "PENALTY")] == [
+    # only the dynamic declaration has neither arms nor a default
+    assert [state[n] == CategoryMap.undefined() for n in ("ROUND1", "ROUND2", "PENALTY")] == [
         False,
         False,
         True,
     ]
+
+
+def test_each_form_means_its_arms_plus_a_default_on_random_lists():
+    # the oracle reads each VarDecl's kind; the static state is read only through lookup
+    rng = random.Random(31)
+    categories = range(11)
+    roster = [Runner(c + 1, f"T{c}", "L", "F", "female", c) for c in categories]
+    forms = set()
+    for _ in range(200):
+        taken: set[str] = set()
+        decls = [random_var_decl(rng, taken) for _ in range(rng.randint(0, 6))]
+        state = decl_sequence(decls, {})
+        for decl in decls:
+            forms.add(decl.kind)
+            assert [state[decl.name].lookup(c) for c in categories] \
+                == [declared_value(decl, c) for c in categories], decl
+        warned = {(w.rfid, w.variable) for w in init_race(state, roster).warnings}
+        assert warned == {(f"T{c}", decl.name) for decl in decls for c in categories
+                          if lacks_arm(decl, c)}
+    assert forms == {"plain", "categorized", "dynamic"}
 
 
 def test_decl_sequence_of_nothing_is_identity():
