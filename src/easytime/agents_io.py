@@ -9,8 +9,9 @@ results are CSV.  ``load_runners`` checks a roster by column, a block of lines a
 time, and reads it again row by row with the csv module if a block holds a quote or
 fails a check, so the row loop names every fault.  ``write_results`` writes result tables
 with the csv module; ``_export_race``, the export of ``run``, ``results`` and
-``serve``, writes the same bytes from ready-made lines, without building the
-tables.  The TCP listener lives
+``serve``, writes the same bytes from ready-made lines, one group's at a time, without
+building the tables, and writes the first half of two or more groups from a forked
+child where ``os.fork`` exists and no other thread runs.  The TCP listener lives
 in ``listener``, which ``serve`` and ``listen_auto`` import when they start
 listening, so only they load the socket modules.  It serves many connections on
 one thread and hands events to its sink one at a time, in arrival order:
@@ -22,13 +23,16 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import os
+import signal
+import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 from .runtime import (GENDERS, RUNNER_COLUMNS, Event, InputError, ResultTable, Runner,
-                      _event_order, _ranked_groups)
+                      _event_order, _groups, _ranked_groups)
 
 ROSTER_HEADER = list(Runner._fields)
 _HEADER_LINE = ",".join(ROSTER_HEADER)
@@ -254,15 +258,19 @@ def listen_auto(port: int, sink):
     return AutoAgentListener(port, sink).start()
 
 
-def _write_whole(out_dir: str | os.PathLike, label: str, write) -> str:
-    """Write the results file of the group ``label`` ("" for the ungrouped one) under
-    ``out_dir`` by ``write(handle)``, and return its path.  The file is written to a part
-    file that then replaces it whole, so a reader never sees part of one; a failed
-    write removes the part file and leaves the old file as it was."""
+def _result_paths(out_dir: str | os.PathLike, label: str, pid: int) -> tuple[str, str]:
+    """The results file of the group ``label`` ("" for the ungrouped one) under ``out_dir``,
+    and the part file that process ``pid`` writes it to; two processes may share out_dir."""
     name = f"results_{label}.csv" if label else "results.csv"
-    path = os.path.join(out_dir, name)
-    # two processes may share out_dir
-    part = os.path.join(out_dir, f".{name}.{os.getpid()}.part")
+    return os.path.join(out_dir, name), os.path.join(out_dir, f".{name}.{pid}.part")
+
+
+def _write_whole(out_dir: str | os.PathLike, label: str, write) -> str:
+    """Write the results file of the group ``label`` under ``out_dir`` by ``write(handle)``,
+    and return its path.  The file is written to a part file that then replaces it whole,
+    so a reader never sees part of one; a failed write removes the part file and leaves
+    the old file as it was."""
+    path, part = _result_paths(out_dir, label, os.getpid())
     try:
         with open(part, "w", newline="", encoding="ascii") as handle:
             write(handle)
@@ -288,57 +296,131 @@ def write_results(tables: Iterable[ResultTable], out_dir: str | os.PathLike) -> 
     return written
 
 
-# the characters that make csv's minimal rule quote a field
-_SPECIAL = (",", '"', "\r", "\n")
-
-
 def _quoted(field: str) -> str:
     """``field`` as csv's minimal rule writes it."""
-    if any(char in field for char in _SPECIAL):
+    if any(char in field for char in (",", '"', "\r", "\n")):
         return '"' + field.replace('"', '""') + '"'
     return field
-
-
-def _needs_quoting(runners) -> bool:
-    """Whether a name of ``runners`` is one csv's minimal rule quotes."""
-    names = "".join([runner.last_name + runner.first_name for runner in runners])
-    return any(char in names for char in _SPECIAL)
 
 
 def _export_race(race, out_dir: str | os.PathLike, rank_var: str | None = None,
                  group_by: str | None = None) -> list[str]:
     """The files of ``write_results(race_results(race, rank_var, group_by), out_dir)``,
-    byte for byte, and their paths; the export of ``run``, ``results`` and each ``serve``
-    snapshot.
+    byte for byte, and their paths in group order; the export of ``run``, ``results``
+    and each ``serve`` snapshot.
 
-    ``rank_var`` and ``group_by`` are checked before anything is written.  Each group's
-    file is written from ready-made lines, without building its table.  Runners who never
-    raced share their category's starting dict, so a group formats the cells of each
-    distinct dict once.  Values are ints or None; a group quotes its names by csv's
-    minimal rule only if one of them needs quoting.
+    ``rank_var`` and ``group_by`` are checked before anything is written.  Two or more
+    groups are split into two runs of about equal row counts, where ``os.fork`` exists
+    and no other thread runs: a forked child writes the first run, this process the
+    rest, and it waits for the child before it returns or raises.  A child that fails
+    with an ``OSError`` makes this raise an ``OSError`` of the same errno; one that
+    fails otherwise, or that a signal stops, leaves its groups to be written here, as
+    a failed fork leaves them all.
     """
-    groups = _ranked_groups(race, rank_var, group_by)
+    groups = _groups(race, rank_var, group_by)
     os.makedirs(out_dir, exist_ok=True)
-    per_runner, names = race.per_runner, race.var_names
+    export = functools.partial(_export_groups, race, out_dir, rank_var)
+    if len(groups) < 2 or not hasattr(os, "fork") or _other_threads():
+        return export(groups)
+    rows = list(accumulate(len(runners) for _, runners in groups))
+    cut = min(range(1, len(groups)), key=lambda end: abs(2 * rows[end - 1] - rows[-1]))
+    first, rest = groups[:cut], groups[cut:]
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        return export(groups)
+    if pid == 0:
+        _export_and_exit(export, first)
+    try:
+        written = export(rest)
+    finally:
+        if code := _reap(pid):  # a signal may have cut the child short of removing a part file
+            for label, _ in first:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(_result_paths(out_dir, label, pid)[1])
+    if 0 < code < 255:
+        raise OSError(code, os.strerror(code))
+    if code:
+        return export(first) + written
+    return [_result_paths(out_dir, label, pid)[0] for label, _ in first] + written
+
+
+def _other_threads() -> bool:
+    """Whether a thread besides this one runs, asked without loading ``threading``:
+    forking then would copy locks that those threads may hold."""
+    threading = sys.modules.get("threading")
+    return threading is not None and threading.active_count() > 1
+
+
+def _export_and_exit(export, groups):
+    """In a forked child, never to return: ``export(groups)`` with the default SIGINT
+    and SIGTERM actions, then exit, without flushing what the parent buffered, with 0,
+    the errno of an ``OSError`` or 255."""
+    code = 255
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        export(groups)
+        code = 0
+    except OSError as exc:
+        if exc.errno is not None and 0 < exc.errno < 255:
+            code = exc.errno
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int) -> int:
+    """The exit code of the child ``pid`` once it has ended, negative for the signal that
+    ended it; an exception a signal handler raises meanwhile is raised once it has."""
+    try:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:
+        raise
+    except BaseException:
+        _reap(pid)
+        raise
+
+
+def _export_groups(race, out_dir: str | os.PathLike, rank_var: str | None, groups) -> list[str]:
+    """Write the results file of each of ``groups`` (from ``_groups``), one at a time, and
+    return their paths.
+
+    Each file is written from ready-made lines, without building its table.  Runners who
+    never raced share their category's starting dict, so a group formats the cells of
+    each distinct dict once.  Values are ints or None.  A group's lines are first built
+    with no quoting, and built again by csv's minimal rule only if a field holds a
+    character that it quotes for: the line ends and commas of the joined text then
+    outnumber those of the lines.
+    """
+    names = race.var_names
     header = ",".join(RUNNER_COLUMNS + names) + "\r\n"
+    commas = header.count(",")
     written: list[str] = []
-    for label, runners, ranked in groups:
-        # id(variables) -> their cells, for one group: each dict is held by race.per_runner,
-        # so no id is reused while this lives, and one kept for the whole export would
-        # hold the cells of every runner who raced until its end
-        cells_of: dict[int, str] = {}
-        quoting = _needs_quoting(runners)
-        lines = [header]
-        for place, runner in enumerate(runners, 1):
-            variables = per_runner[runner.rfid]
-            if (cells := cells_of.get(id(variables))) is None:
-                cells = cells_of[id(variables)] = "".join([
-                    "," if (value := variables[name]) is None else f",{value}" for name in names])
-            runner_id, _, last_name, first_name, gender, category = runner
-            if quoting:
-                last_name, first_name = _quoted(last_name), _quoted(first_name)
-            rank = place if place <= ranked else ""
-            lines.append(
-                f"{rank},{runner_id},{last_name},{first_name},{gender},{category}{cells}\r\n")
-        written.append(_write_whole(out_dir, label, lambda handle: handle.write("".join(lines))))
+    for label, runners, ranked in _ranked_groups(race.per_runner, groups, rank_var):
+        text = _group_text(race.per_runner, names, header, runners, ranked, quoting=False)
+        lines = len(runners) + 1
+        if ('"' in text or text.count("\r") != lines or text.count("\n") != lines
+                or text.count(",") != lines * commas):
+            text = _group_text(race.per_runner, names, header, runners, ranked, quoting=True)
+        written.append(_write_whole(out_dir, label, lambda handle: handle.write(text)))
     return written
+
+
+def _group_text(per_runner, names, header: str, runners, ranked: int, quoting: bool) -> str:
+    """A group's file: ``header``, then a line per runner, names quoted if ``quoting``."""
+    # id(variables) -> their cells: each dict is held by per_runner, so no id is reused
+    # while this lives, and one kept for the whole export would hold the cells of every
+    # runner who raced until its end
+    cells_of: dict[int, str] = {}
+    lines = [header]
+    for place, runner in enumerate(runners, 1):
+        variables = per_runner[runner.rfid]
+        if (cells := cells_of.get(id(variables))) is None:
+            cells = cells_of[id(variables)] = "".join([
+                "," if (value := variables[name]) is None else f",{value}" for name in names])
+        runner_id, _, last_name, first_name, gender, category = runner
+        if quoting:
+            last_name, first_name = _quoted(last_name), _quoted(first_name)
+        rank = place if place <= ranked else ""
+        lines.append(f"{rank},{runner_id},{last_name},{first_name},{gender},{category}{cells}\r\n")
+    return "".join(lines)

@@ -4,8 +4,9 @@
 builds in place, keeping no log; ``run`` journals what it read.  A journal's torn last
 line is warned of and left out; ``serve`` also cuts it off.  ``run``, ``results``
 and each ``serve`` snapshot export through ``_export_results``, which writes one
-group's file at a time from ready-made lines; ungrouped, ``results.csv`` is always
-written, with only its header for an empty roster.
+group's file at a time from ready-made lines, two or more groups from two processes;
+ungrouped, ``results.csv`` is always written, with only its header for an empty roster.
+A write that fails in the export's child fails the command as one of its own does.
 
 Exit codes: 0 success, 1 language error (lex/parse/semantic, an unknown
 ``--rank`` variable, events aimed at unknown measuring places), 2 I/O or

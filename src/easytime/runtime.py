@@ -11,8 +11,8 @@ in place on a race its caller owns, as ``run`` and ``results`` do with the race
 ``init_race`` built.  ``replay`` folds it over a copy of the race, keeping a log,
 and never mutates the old state; ``apply_event`` is its one-event case.
 ``serve`` checks each event's place before journaling it, then steps it.
-``race_results`` makes the result tables from ``_ranked_groups``, the one rule for
-how runners are grouped and ordered, which the CLI's export shares.
+``race_results`` makes the result tables from ``_groups`` and ``_ranked_groups``, the
+one rule for how runners are grouped and ordered, which the CLI's export shares.
 """
 
 from __future__ import annotations
@@ -227,17 +227,10 @@ _GROUP_BY = {
 GROUPINGS = tuple(name for name in _GROUP_BY if name is not None)
 
 
-def _ranked_groups(race: RaceState, rank_var: str | None, group_by: str | None):
-    """A generator of each group's label, its runners in result order, and how many of
-    them are ranked, in the order of ``race_results``; a ranked runner's place is their
-    position in the group, counted from 1.
-
-    ``rank_var`` and ``group_by`` are checked, and the runners grouped, when this is
-    called; ungrouped, there is one group even with no runners.  Each group is
-    ordered from ``race.per_runner`` as it is asked for, so ``race`` must not be stepped
-    until the generator is used up; ``serve`` exports inside its sink, on its main
-    thread, between events.
-    """
+def _groups(race: RaceState, rank_var: str | None, group_by: str | None):
+    """Each group's label and its runners in roster order, in the order of
+    ``race_results``; ungrouped, there is one group even with no runners.  ``rank_var``
+    and ``group_by`` are checked first."""
     check_rank_var(race.var_names, rank_var)
     if group_by is not None and group_by not in GROUPINGS:
         raise ValueError(f"unknown grouping {group_by!r}")
@@ -247,26 +240,32 @@ def _ranked_groups(race: RaceState, rank_var: str | None, group_by: str | None):
         groups[""] = []
     for runner in race.roster:
         groups[key_of(runner)].append(runner)
-    # popped, so a group's runners go once it is ordered
-    return ((label_of(key), *_ranked(race.per_runner, groups.pop(key), rank_var))
-            for key in sorted(groups))
+    return [(label_of(key), groups[key]) for key in sorted(groups)]
 
 
-def _ranked(per_runner: dict[str, RunnerVars], runners: list[Runner], rank_var):
-    """``runners`` with a defined ``rank_var`` by (value, id), then the others by id, and
-    how many the first are."""
-    ranked, unranked = [], []
-    if rank_var is None:
-        unranked = runners
-    else:
-        for runner in runners:
-            if (value := per_runner[runner.rfid][rank_var]) is None:
-                unranked.append(runner)
-            else:
-                ranked.append((value, runner.id, runner))
-    ranked.sort()
-    unranked.sort()  # ids are unique, so runners compare by id alone
-    return [runner for _, _, runner in ranked] + unranked, len(ranked)
+def _ranked_groups(per_runner: dict[str, RunnerVars], groups, rank_var: str | None):
+    """A generator of the label of each of ``groups`` (from ``_groups``), its runners in
+    result order, and how many of them are ranked: those with a defined ``rank_var``, by
+    (value, id), then the others by id.  A ranked runner's place is their position in
+    the group, counted from 1.
+
+    Each group is ordered from ``per_runner`` as it is asked for, so the race must not
+    be stepped until the generator is used up; ``serve`` exports inside its sink, on
+    its main thread, between events.
+    """
+    for label, runners in groups:
+        ranked, unranked = [], []
+        if rank_var is None:
+            unranked = runners
+        else:
+            for runner in runners:
+                if (value := per_runner[runner.rfid][rank_var]) is None:
+                    unranked.append(runner)
+                else:
+                    ranked.append((value, runner.id, runner))
+        ranked.sort()
+        unranked.sort()  # ids are unique, so runners compare by id alone
+        yield label, [runner for _, _, runner in ranked] + unranked, len(ranked)
 
 
 def race_results(
@@ -285,7 +284,8 @@ def race_results(
     names = race.var_names
     per_runner = race.per_runner
     tables = []
-    for label, runners, ranked in _ranked_groups(race, rank_var, group_by):
+    for label, runners, ranked in _ranked_groups(
+            per_runner, _groups(race, rank_var, group_by), rank_var):
         rows = tuple((place if place <= ranked else None, runner.id, runner.last_name,
                       runner.first_name, runner.gender, runner.category)
                      + tuple(map(per_runner[runner.rfid].__getitem__, names))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import errno
+import os
 import random
 import string
 import threading
@@ -113,6 +115,29 @@ def peak_bytes(consume) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def fail_writes_in_a_child(monkeypatch, label: str) -> None:
+    """Make every write of the results file of group ``label`` fail with ENOSPC, but only
+    in a process other than this one, as a forked export child is."""
+    from easytime import agents_io
+
+    parent = os.getpid()
+
+    def open_on_a_full_disk(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)  # the part file is made, then the write fails
+        if os.getpid() != parent and os.path.basename(path).startswith(f".results_{label}.csv."):
+            def write(text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            handle.write = write
+        return handle
+    monkeypatch.setattr(agents_io, "open", open_on_a_full_disk, raising=False)
+
+
+def assert_no_child_left() -> None:
+    """Every child this process started has been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class Collector:

@@ -7,6 +7,7 @@ import gc
 import io
 import os
 import random
+import signal
 import socket
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import threading
 
 import pytest
 
-from conftest import SRC, Collector, peak_bytes
+from conftest import SRC, Collector, assert_no_child_left, fail_writes_in_a_child, peak_bytes
 from easytime import agents_io
 from easytime.agents_io import (
     MAX_LINE_BYTES,
@@ -884,12 +885,17 @@ def what_a_race_holds(ast, race, raced: set[str]) -> set:
     }
 
 
-def test_property_the_export_writes_the_files_of_write_results(tmp_path):
+def test_property_the_export_writes_the_files_of_write_results(tmp_path, monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     rng = random.Random(2404)
     seen = set()
     for n in range(80):
         ast, race = random_race(rng)
         seen |= what_a_race_holds(ast, race, step_random_events(rng, ast, race))
+        if len({(runner.category, runner.gender) for runner in race.roster}) >= 2:
+            seen.add("split")  # category-gender, at least, gives the export two groups
         kinds = {decl.name: decl.kind for decl in ast.decls}
         for rank_var in (None, *race.var_names):
             seen.add(kinds.get(rank_var, "no rank"))
@@ -898,7 +904,8 @@ def test_property_the_export_writes_the_files_of_write_results(tmp_path):
                 assert_export_equals_the_reference(race, rank_var, group_by, out / "export",
                                                    out / "reference")
     assert seen == {0, 1, 2, "quoted", "unquoted", "negative", "empty roster", "raced and not",
-                    "no rank", "plain", "categorized", "dynamic"}, seen
+                    "no rank", "plain", "categorized", "dynamic", "split"}, seen
+    assert forks  # the exports of two or more groups were split with a child
 
 
 def test_property_each_serve_snapshot_writes_the_files_of_write_results(tmp_path):
@@ -965,3 +972,97 @@ def test_export_holds_one_group_at_a_time(tmp_path):
     assert len(os.listdir(tmp_path)) == 20
     whole = peak_bytes(lambda: race_results(race, "T", "category-gender"))
     assert exported < whole / 3, (exported, whole)
+
+
+def grouped_race(runners: int = 40):
+    """A race of 40 runners in six category-gender groups, half of whom raced."""
+    state = decl_sequence([VarDecl("T", "dynamic")], {})
+    race = init_race(state, [Runner(i, f"R{i}", f"Last{i}", f"First{i}", GENDERS[i % 2], i % 3)
+                             for i in range(runners)])
+    for rfid in list(race.per_runner)[::2]:
+        race.per_runner[rfid] = {"T": hash(rfid) % 100}
+    return race
+
+
+def test_export_reports_a_write_that_fails_in_the_child(tmp_path, monkeypatch):
+    race = grouped_race()
+    _export_race(race, tmp_path, "T", "category-gender")
+    assert_no_child_left()
+    before = files_of(tmp_path)
+    for rfid in race.per_runner:
+        race.per_runner[rfid] = {"T": 1}
+    fail_writes_in_a_child(monkeypatch, "cat0_female")  # the first group: the child's
+    with pytest.raises(OSError) as raised:
+        _export_race(race, tmp_path, "T", "category-gender")
+    assert_no_child_left()
+    assert (raised.value.errno, raised.value.strerror) == (errno.ENOSPC, "No space left on device")
+    assert (tmp_path / "results_cat0_female.csv").read_bytes() == before["results_cat0_female.csv"]
+    assert sorted(os.listdir(tmp_path)) == sorted(before)  # no part file is left
+
+
+@pytest.mark.parametrize("failure", ["interrupted", "a bug"])
+def test_the_groups_of_a_child_that_failed_otherwise_are_written_in_process(
+        tmp_path, monkeypatch, failure):
+    # a terminal's ^C reaches the child too; serve goes on, and its snapshot must be whole
+    parent, write_whole = os.getpid(), agents_io._write_whole
+
+    def write_then_fail(out_dir, label, write):
+        if os.getpid() == parent:
+            return write_whole(out_dir, label, write)
+
+        def fail(handle):  # the part file is made first
+            if failure == "interrupted":
+                os.kill(os.getpid(), signal.SIGINT)
+            raise ValueError(label)
+        return write_whole(out_dir, label, fail)
+    monkeypatch.setattr(agents_io, "_write_whole", write_then_fail)
+    codes, reap = [], agents_io._reap
+    monkeypatch.setattr(agents_io, "_reap", lambda pid: codes.append(reap(pid)) or codes[-1])
+    assert_export_equals_the_reference(grouped_race(), "T", "category-gender",
+                                       tmp_path / "export", tmp_path / "reference")
+    assert_no_child_left()
+    # SIGINT's default action ends the child; anything but an OSError exits 255
+    assert codes == [-signal.SIGINT if failure == "interrupted" else 255]
+
+
+def test_an_interrupt_in_both_processes_is_raised_once_the_child_is_gone(tmp_path, monkeypatch):
+    # a terminal's ^C reaches the export's child too
+    parent, write_whole = os.getpid(), agents_io._write_whole
+
+    def interrupted(out_dir, label, write):
+        def fail(handle):  # the part file is made first
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            os.kill(os.getpid(), signal.SIGINT)
+        return write_whole(out_dir, label, fail)
+    monkeypatch.setattr(agents_io, "_write_whole", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _export_race(grouped_race(), tmp_path, "T", "category-gender")
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == []  # neither process left a part file
+
+
+def test_a_failed_fork_exports_in_process(tmp_path, monkeypatch):
+    def fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    monkeypatch.setattr(os, "fork", fork)
+    assert_export_equals_the_reference(grouped_race(), "T", "category-gender", tmp_path / "export",
+                                       tmp_path / "reference")
+
+
+def test_export_runs_in_process_while_another_thread_runs(tmp_path, monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(os, "fork", fork)
+    race = grouped_race()
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert_export_equals_the_reference(race, "T", "category-gender", tmp_path / "export",
+                                           tmp_path / "reference")
+    finally:
+        release.set()
+        thread.join()
+    with pytest.raises(AssertionError, match="forked"):  # alone, it would fork
+        _export_race(race, tmp_path / "export", "T", "category-gender")

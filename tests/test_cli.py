@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, SRC, program_source
+from conftest import FIXTURES, SRC, assert_no_child_left, fail_writes_in_a_child, program_source
 from easytime import cli
 from easytime import listener as listener_module
 from easytime.agents_io import load_runners, parse_event_line, read_journal, write_results
@@ -278,6 +278,23 @@ def test_an_out_path_that_is_a_file_is_an_io_error(tmp_path, capsys, command, so
     assert status == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")  # serve fails before it binds
     assert out.read_text() == "kept\n"
+
+
+def test_run_reports_a_write_that_fails_in_the_export_child(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    run = ("run", PROGRAMS / "biathlon.ez", "--runners", ROSTERS / "biathlon.csv", "--rank", "RUN",
+           "--group", "gender", "--out", out, "--events")
+    assert run_cli(*run, EVENTS / "biathlon.log") == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    no_events = tmp_path / "none.log"
+    no_events.write_text("")
+    fail_writes_in_a_child(monkeypatch, "female")  # of two groups, the child writes the first
+    assert run_cli(*run, no_events) == 2
+    assert capsys.readouterr().err == "error: cannot write results: No space left on device\n"
+    assert_no_child_left()
+    assert (out / "results_female.csv").read_bytes() == before["results_female.csv"]
+    assert (out / "results_male.csv").read_bytes() != before["results_male.csv"]  # the parent's
+    assert sorted(path.name for path in out.iterdir()) == sorted(before)  # no part file is left
 
 
 def test_run_unknown_rank_variable(tmp_path, capsys):
