@@ -11,11 +11,12 @@ fails a check, so the row loop names every fault.  ``write_results`` writes resu
 with the csv module; ``_export_race``, the export of ``run``, ``results`` and
 ``serve``, writes the same bytes from ready-made lines, one group's at a time, without
 building the tables, and writes the first half of two or more groups from a forked
-child where ``os.fork`` exists and no other thread runs.  The TCP listener lives
-in ``listener``, which ``serve`` and ``listen_auto`` import when they start
-listening, so only they load the socket modules.  It serves many connections on
-one thread and hands events to its sink one at a time, in arrival order:
-``serve`` runs it on the main thread, ``listen_auto`` on a thread of its own.
+child where ``os.fork`` exists and no other thread runs; what the child did not write,
+this process writes.  The TCP listener lives in ``listener``, which ``serve`` and
+``listen_auto`` import when they start listening, so only they load the socket modules.
+It serves many connections on one thread and hands events to its sink one at a time,
+in arrival order: ``serve`` runs it on the main thread, ``listen_auto`` on a thread of
+its own.
 A malformed roster row or event line raises a ``runtime.InputError`` subclass.
 """
 
@@ -312,10 +313,9 @@ def _export_race(race, out_dir: str | os.PathLike, rank_var: str | None = None,
     ``rank_var`` and ``group_by`` are checked before anything is written.  Two or more
     groups are split into two runs of about equal row counts, where ``os.fork`` exists
     and no other thread runs: a forked child writes the first run, this process the
-    rest, and it waits for the child before it returns or raises.  A child that fails
-    with an ``OSError`` makes this raise an ``OSError`` of the same errno; one that
-    fails otherwise, or that a signal stops, leaves its groups to be written here, as
-    a failed fork leaves them all.
+    rest, and it waits for the child before it returns or raises.  If the child fails,
+    or a signal stops it, this process writes its groups too, as it writes all of them
+    if the fork fails.
     """
     groups = _groups(race, rank_var, group_by)
     os.makedirs(out_dir, exist_ok=True)
@@ -329,8 +329,15 @@ def _export_race(race, out_dir: str | os.PathLike, rank_var: str | None = None,
         pid = os.fork()
     except OSError:  # no process to spare
         return export(groups)
-    if pid == 0:
-        _export_and_exit(export, first)
+    if pid == 0:  # exit without flushing what the parent buffered: 0 once written, else 1
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            export(first)
+            code = 0
+        finally:
+            os._exit(code)
     try:
         written = export(rest)
     finally:
@@ -338,8 +345,6 @@ def _export_race(race, out_dir: str | os.PathLike, rank_var: str | None = None,
             for label, _ in first:
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(_result_paths(out_dir, label, pid)[1])
-    if 0 < code < 255:
-        raise OSError(code, os.strerror(code))
     if code:
         return export(first) + written
     return [_result_paths(out_dir, label, pid)[0] for label, _ in first] + written
@@ -350,23 +355,6 @@ def _other_threads() -> bool:
     forking then would copy locks that those threads may hold."""
     threading = sys.modules.get("threading")
     return threading is not None and threading.active_count() > 1
-
-
-def _export_and_exit(export, groups):
-    """In a forked child, never to return: ``export(groups)`` with the default SIGINT
-    and SIGTERM actions, then exit, without flushing what the parent buffered, with 0,
-    the errno of an ``OSError`` or 255."""
-    code = 255
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        export(groups)
-        code = 0
-    except OSError as exc:
-        if exc.errno is not None and 0 < exc.errno < 255:
-            code = exc.errno
-    finally:
-        os._exit(code)
 
 
 def _reap(pid: int) -> int:

@@ -6,7 +6,6 @@ line is warned of and left out; ``serve`` also cuts it off.  ``run``, ``results`
 and each ``serve`` snapshot export through ``_export_results``, which writes one
 group's file at a time from ready-made lines, two or more groups from two processes;
 ungrouped, ``results.csv`` is always written, with only its header for an empty roster.
-A write that fails in the export's child fails the command as one of its own does.
 
 Exit codes: 0 success, 1 language error (lex/parse/semantic, an unknown
 ``--rank`` variable, events aimed at unknown measuring places), 2 I/O or
@@ -323,7 +322,9 @@ def main(argv=None) -> int:
         return exc.status
     except BrokenPipeError as exc:  # stdout's reader has gone
         if sys.stdout is sys.__stdout__:  # flushed again at exit: to devnull, so that passes
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

@@ -117,16 +117,17 @@ def peak_bytes(consume) -> int:
         tracemalloc.stop()
 
 
-def fail_writes_in_a_child(monkeypatch, label: str) -> None:
-    """Make every write of the results file of group ``label`` fail with ENOSPC, but only
-    in a process other than this one, as a forked export child is."""
+def fail_writes_in_a_child(monkeypatch, label: str, also_here: bool = False) -> None:
+    """Make every write of the results file of group ``label`` fail with ENOSPC in a process
+    other than this one, as a forked export child is, and also in this one if ``also_here``."""
     from easytime import agents_io
 
     parent = os.getpid()
 
     def open_on_a_full_disk(path, *args, **kwargs):
         handle = open(path, *args, **kwargs)  # the part file is made, then the write fails
-        if os.getpid() != parent and os.path.basename(path).startswith(f".results_{label}.csv."):
+        if ((also_here or os.getpid() != parent)
+                and os.path.basename(path).startswith(f".results_{label}.csv.")):
             def write(text):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             handle.write = write

@@ -984,23 +984,7 @@ def grouped_race(runners: int = 40):
     return race
 
 
-def test_export_reports_a_write_that_fails_in_the_child(tmp_path, monkeypatch):
-    race = grouped_race()
-    _export_race(race, tmp_path, "T", "category-gender")
-    assert_no_child_left()
-    before = files_of(tmp_path)
-    for rfid in race.per_runner:
-        race.per_runner[rfid] = {"T": 1}
-    fail_writes_in_a_child(monkeypatch, "cat0_female")  # the first group: the child's
-    with pytest.raises(OSError) as raised:
-        _export_race(race, tmp_path, "T", "category-gender")
-    assert_no_child_left()
-    assert (raised.value.errno, raised.value.strerror) == (errno.ENOSPC, "No space left on device")
-    assert (tmp_path / "results_cat0_female.csv").read_bytes() == before["results_cat0_female.csv"]
-    assert sorted(os.listdir(tmp_path)) == sorted(before)  # no part file is left
-
-
-@pytest.mark.parametrize("failure", ["interrupted", "a bug"])
+@pytest.mark.parametrize("failure", ["interrupted", "a bug", "a full disk"])
 def test_the_groups_of_a_child_that_failed_otherwise_are_written_in_process(
         tmp_path, monkeypatch, failure):
     # a terminal's ^C reaches the child too; serve goes on, and its snapshot must be whole
@@ -1015,14 +999,33 @@ def test_the_groups_of_a_child_that_failed_otherwise_are_written_in_process(
                 os.kill(os.getpid(), signal.SIGINT)
             raise ValueError(label)
         return write_whole(out_dir, label, fail)
-    monkeypatch.setattr(agents_io, "_write_whole", write_then_fail)
+    if failure == "a full disk":
+        fail_writes_in_a_child(monkeypatch, "cat0_female")  # the first group: the child's
+    else:
+        monkeypatch.setattr(agents_io, "_write_whole", write_then_fail)
     codes, reap = [], agents_io._reap
     monkeypatch.setattr(agents_io, "_reap", lambda pid: codes.append(reap(pid)) or codes[-1])
     assert_export_equals_the_reference(grouped_race(), "T", "category-gender",
                                        tmp_path / "export", tmp_path / "reference")
     assert_no_child_left()
-    # SIGINT's default action ends the child; anything but an OSError exits 255
-    assert codes == [-signal.SIGINT if failure == "interrupted" else 255]
+    # SIGINT's default action ends the child; any failure of its own exits 1
+    assert codes == [-signal.SIGINT if failure == "interrupted" else 1]
+
+
+def test_export_reports_a_write_that_fails_in_both_processes(tmp_path, monkeypatch):
+    race = grouped_race()
+    _export_race(race, tmp_path, "T", "category-gender")
+    assert_no_child_left()
+    before = files_of(tmp_path)
+    for rfid in race.per_runner:
+        race.per_runner[rfid] = {"T": 1}
+    fail_writes_in_a_child(monkeypatch, "cat0_female", also_here=True)
+    with pytest.raises(OSError) as raised:
+        _export_race(race, tmp_path, "T", "category-gender")
+    assert_no_child_left()
+    assert (raised.value.errno, raised.value.strerror) == (errno.ENOSPC, "No space left on device")
+    assert (tmp_path / "results_cat0_female.csv").read_bytes() == before["results_cat0_female.csv"]
+    assert sorted(os.listdir(tmp_path)) == sorted(before)  # no part file is left
 
 
 def test_an_interrupt_in_both_processes_is_raised_once_the_child_is_gone(tmp_path, monkeypatch):

@@ -280,7 +280,10 @@ def test_an_out_path_that_is_a_file_is_an_io_error(tmp_path, capsys, command, so
     assert out.read_text() == "kept\n"
 
 
-def test_run_reports_a_write_that_fails_in_the_export_child(tmp_path, capsys, monkeypatch):
+def run_twice_with_a_full_disk_in_the_export_child(tmp_path, monkeypatch, also_here: bool):
+    """A grouped run, then one of no events while every write of ``results_female.csv``
+    fails in the export's child, and also in this process if ``also_here``: the first
+    run's files and the second run's exit code."""
     out = tmp_path / "out"
     run = ("run", PROGRAMS / "biathlon.ez", "--runners", ROSTERS / "biathlon.csv", "--rank", "RUN",
            "--group", "gender", "--out", out, "--events")
@@ -288,13 +291,29 @@ def test_run_reports_a_write_that_fails_in_the_export_child(tmp_path, capsys, mo
     before = {path.name: path.read_bytes() for path in out.iterdir()}
     no_events = tmp_path / "none.log"
     no_events.write_text("")
-    fail_writes_in_a_child(monkeypatch, "female")  # of two groups, the child writes the first
-    assert run_cli(*run, no_events) == 2
-    assert capsys.readouterr().err == "error: cannot write results: No space left on device\n"
+    fail_writes_in_a_child(monkeypatch, "female", also_here)  # of two groups, the child's first
+    status = run_cli(*run, no_events)
     assert_no_child_left()
+    assert sorted(path.name for path in out.iterdir()) == sorted(before)  # no part file is left
+    return before, status
+
+
+def test_run_reports_a_write_that_fails_in_the_export_child(tmp_path, capsys, monkeypatch):
+    # the child's groups fail again when the command writes them itself
+    before, status = run_twice_with_a_full_disk_in_the_export_child(tmp_path, monkeypatch, True)
+    assert status == 2
+    assert capsys.readouterr().err == "error: cannot write results: No space left on device\n"
+    out = tmp_path / "out"
     assert (out / "results_female.csv").read_bytes() == before["results_female.csv"]
     assert (out / "results_male.csv").read_bytes() != before["results_male.csv"]  # the parent's
-    assert sorted(path.name for path in out.iterdir()) == sorted(before)  # no part file is left
+
+
+def test_run_writes_itself_what_the_export_child_could_not(tmp_path, capsys, monkeypatch):
+    before, status = run_twice_with_a_full_disk_in_the_export_child(tmp_path, monkeypatch, False)
+    assert status == 0
+    assert capsys.readouterr().err == ""
+    for name in ("results_female.csv", "results_male.csv"):
+        assert (tmp_path / "out" / name).read_bytes() != before[name]
 
 
 def test_run_unknown_rank_variable(tmp_path, capsys):
@@ -912,6 +931,33 @@ def test_a_closed_stdout_is_an_io_error(tmp_path, command, buffered):
         == (2, f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n")
     with socket.socket() as probe:  # serve's port is free again
         probe.bind(("0.0.0.0", port))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
+def test_a_closed_stdout_leaves_no_descriptor_open(tmp_path):
+    # check's warnings fail to reach a pipe whose read end is closed; main points stdout
+    # at devnull so the flush at exit passes, and keeps no descriptor of its own
+    source = tmp_path / "warn.ez"
+    source.write_text('1 manual "m.dat";\nvar X := 1;\nvar Y := 2;\nmp[1] -> agnt[1] { (true) -> upd X; }\n')
+    child = ("import os, sys\n"
+             "from easytime.cli import main\n"
+             "before = len(os.listdir('/proc/self/fd'))\n"
+             f"code = main(['check', {str(source)!r}])\n"
+             "print(before, len(os.listdir('/proc/self/fd')), file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-c", child], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, cwd=SRC, env=env, timeout=20)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2, done.stderr
+    error, counts = done.stderr.splitlines()
+    assert error == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}"
+    before, after = counts.split()
+    assert before == after
 
 
 def test_serve_that_cannot_cut_a_torn_journal_line_is_an_io_error(tmp_path, capsys, monkeypatch):
