@@ -87,7 +87,8 @@ def _positioned(name: str, fields: str, defaults: tuple = ()) -> type:
 
 # kind is "manual" or "auto"; source a file path or dotted-quad address
 AgentDecl = _positioned("AgentDecl", "id kind source")
-# kind is "plain", "categorized" or "dynamic"; arms are (category, value) pairs
+# kind names the form, which only ``pretty`` reads (``DECL_SOURCE``); every form means
+# its arms, (category, value) pairs, plus its value as the default of other categories
 VarDecl = _positioned("VarDecl", "name kind value arms", defaults=(None, None))
 # kind is "true" or "equals"
 Predicate = namedtuple("Predicate", "kind var value", defaults=(None, None))
@@ -529,6 +530,14 @@ DEFAULT_HANDLERS: dict = {
     "ctgrs_single": lambda c, t: [(int(c[3].text), int(c[6].text))],
 }
 
+# each declaration kind's source text; a fragment's new form adds its handler above and this
+DECL_SOURCE: dict = {
+    "plain": lambda d: f"var {d.name} := {d.value};",
+    "dynamic": lambda d: f"dynamicvar {d.name};",
+    "categorized": lambda d: "var {} := {{ {} }};".format(
+        d.name, ", ".join(f"(category=={c}) -> {v}" for c, v in d.arms)),
+}
+
 
 # --- Pretty printer ---------------------------------------------------
 
@@ -539,13 +548,9 @@ def pretty(ast: ProgramAst) -> str:
         source = f'manual "{agent.source}"' if agent.kind == "manual" else f"auto {agent.source}"
         lines.append(f"{agent.id} {source};")
     for decl in ast.decls:
-        if decl.kind == "plain":
-            lines.append(f"var {decl.name} := {decl.value};")
-        elif decl.kind == "dynamic":
-            lines.append(f"dynamicvar {decl.name};")
-        else:
-            arms = ", ".join(f"(category=={c}) -> {v}" for c, v in decl.arms)
-            lines.append(f"var {decl.name} := {{ {arms} }};")
+        if (source := DECL_SOURCE.get(decl.kind)) is None:
+            raise ValueError(f"unknown declaration kind {decl.kind!r}")
+        lines.append(source(decl))
     for place in ast.places:
         lines.append(f"mp[{place.mp_id}] -> agnt[{place.agent_id}] {{")
         for stmt in place.stmts:

@@ -81,8 +81,8 @@ def init_race(env: dict[str, CategoryMap], roster: list[Runner] | tuple[Runner, 
     """Instantiate per-runner variables from the static state ``env``.
 
     Each variable starts at its category map's value at the runner's category:
-    the map's arm for it, else its default, so dynamic variables start undefined.
-    A variable with arms but none for a runner's category is reported as a warning.
+    the map's arm for it, else its default, so a map with neither starts undefined.
+    A map that has arms but leaves a runner's starting value undefined is a warning.
     The values are worked out once per category and shared by its runners.
     Raises DuplicateRfidError or DuplicateRunnerIdError if an rfid or a
     runner id appears twice in the roster.  The roster is mapped and checked
@@ -96,9 +96,9 @@ def init_race(env: dict[str, CategoryMap], roster: list[Runner] | tuple[Runner, 
         zip(map(rfid_of, roster), map(starting.__getitem__, map(category_of, roster))))
     if len(per_runner) < len(roster) or len(set(map(id_of, roster))) < len(roster):
         _raise_first_duplicate(roster)
-    missing = {category: names for category in starting
+    missing = {category: names for category, start in starting.items()
                if (names := [name for name, values in env.items()
-                             if values.arms and category not in values.arms])}
+                             if values.arms and start[name] is None])}
     warnings = tuple(
         RaceWarning(runner.rfid, name,
                     f"runner {runner.id} ({runner.rfid}): no value for"

@@ -2,10 +2,10 @@
 
 A program's declarations denote its static state: a dict from each variable
 name, in declaration order, to a ``CategoryMap``, a category-to-integer map made
-of its arms and a default.  Each declaration form means its arms plus its value:
-a plain declaration has no arms and its value as the default, a categorized one
-its arms and no default, and a dynamic one neither, so it is undefined in every
-category until run time gives each runner its value.
+of its arms and a default.  Every declaration means its arms plus its value,
+whatever its form: the front end alone names the forms, so a fragment that adds
+one adds nothing here.  A map with neither is undefined in every category until
+run time gives each runner its value.
 """
 
 from __future__ import annotations
@@ -20,18 +20,6 @@ class CategoryMap(namedtuple("CategoryMap", "arms default")):
     """Total function from category to integer-or-undefined: ``arms``, else ``default``."""
 
     __slots__ = ()
-
-    @classmethod
-    def constant(cls, value: int) -> "CategoryMap":
-        return cls({}, value)
-
-    @classmethod
-    def of_arms(cls, arms: dict[int, int]) -> "CategoryMap":
-        return cls(dict(arms), None)
-
-    @classmethod
-    def undefined(cls) -> "CategoryMap":
-        return cls({}, None)
 
     def lookup(self, category: int) -> int | None:
         return self.arms.get(category, self.default)
@@ -54,8 +42,6 @@ def _meta(decl: VarDecl, env: dict[str, CategoryMap]) -> CategoryMap:
     """What ``decl`` binds its name to, given the bindings ``env`` before it."""
     if decl.name in env:
         raise DuplicateDeclarationError(decl.name, decl.line, decl.column)
-    if decl.kind not in ("plain", "categorized", "dynamic"):
-        raise ValueError(f"unknown declaration kind {decl.kind!r}")
     return CategoryMap(dict(decl.arms or ()), decl.value)
 
 

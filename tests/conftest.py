@@ -4,6 +4,7 @@ import errno
 import os
 import random
 import string
+import sys
 import threading
 import time
 import tracemalloc
@@ -25,6 +26,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # `python -m` and `python -c` put their working directory first on sys.path,
 # so a child started there imports this checkout's package
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 # every keyword of either dialect; generated identifiers must avoid them
 KEYWORDS = frozenset(
@@ -39,6 +41,22 @@ def fixtures() -> Path:
 
 def program_source(name: str) -> str:
     return (FIXTURES / "programs" / f"{name}.ez").read_text(encoding="ascii")
+
+
+def perfbench_reference():
+    """The benchmark's race generator and reference evaluator, ``perfbench/gen.py`` and
+    ``perfbench/ref.py``, imported as they are: an oracle that is not this package.
+    ``ref`` imports ``gen`` by its bare name, so ``perfbench/`` is on the path while they
+    load, and no bytecode is written there."""
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode, writes = True, sys.dont_write_bytecode
+    try:
+        import gen
+        import ref
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = writes
+    return gen, ref
 
 
 def random_name(rng: random.Random, taken: set[str]) -> str:

@@ -108,9 +108,9 @@ def test_criterion_1_declaration_semantics():
         ast = parse_source(program_source("decls"), easytime_pp())
         state = decl_sequence(ast.decls, {})
         assert state == {
-            "ROUND1": CategoryMap.constant(50),
-            "ROUND2": CategoryMap.of_arms({1: 20, 2: 10}),
-            "PENALTY": CategoryMap.undefined(),
+            "ROUND1": CategoryMap({}, 50),
+            "ROUND2": CategoryMap({1: 20, 2: 10}, None),
+            "PENALTY": CategoryMap({}, None),
         }
 
 

@@ -9,6 +9,7 @@ import os
 import random
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -465,6 +466,23 @@ def test_listener_interleaved_connections_deliver_everything():
     # per-connection order is preserved even when interleaved
     assert [e for e in received if e.rfid == "AAA"] == [e for e in sent if e.rfid == "AAA"]
     assert [e for e in received if e.rfid == "BBB"] == [e for e in sent if e.rfid == "BBB"]
+
+
+def test_listener_ends_a_reset_connection_and_serves_the_next(caplog):
+    sink = Collector()
+    with listen_auto(0, sink) as listener:
+        with connect(listener.port) as (sock, chat):
+            chat.write("3,TAG007,1000\n")
+            chat.flush()
+            assert chat.readline().strip() == "OK"
+            # no linger: the close sends a reset, so the listener's next recv raises
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        with connect(listener.port) as (sock, chat):
+            chat.write("3,TAG008,2000\n")
+            chat.flush()
+            assert chat.readline().strip() == "OK"
+    assert sink.events == [Event(3, "TAG007", 1000), Event(3, "TAG008", 2000)]
+    assert not [record for record in caplog.records if record.levelname == "ERROR"]
 
 
 def test_listener_port_in_use():

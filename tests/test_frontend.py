@@ -146,7 +146,7 @@ def test_token_is_an_immutable_named_tuple():
         LanguageDef("L", (rule,), {}, "A"), LanguageFragment("F"),
         AgentDecl(1, "manual", "a.dat"), VarDecl("X", "plain", value=1), Predicate("true"),
         Statement(Predicate("true"), "upd", "X"), MeasuringPlace(1, 1, ()),
-        ProgramAst((), (), ()), CategoryMap.constant(1),
+        ProgramAst((), (), ()), CategoryMap({}, 1),
         Diagnostic(ERROR, "Code", "message"),
         Runner(1, "A", "L", "F", "male", 1), Event(1, "A", 10), RaceWarning("A", "X", "message"),
         LogEntry(Event(1, "A", 10), (), True), RaceState((), (), {}), ResultTable("", (), ()),
@@ -421,6 +421,12 @@ def test_random_program_round_trip():
     for _ in range(50):
         ast = random_program(rng)
         assert parse_source(pretty(ast), lang) == ast
+
+
+def test_pretty_refuses_an_unknown_declaration_kind():
+    # the one code that reads a declaration's kind; semantics binds any kind by its fields
+    with pytest.raises(ValueError, match="unknown declaration kind 'weird'"):
+        pretty(ProgramAst((), (VarDecl("X", "weird"),), ()))
 
 
 def test_deep_program_round_trips_in_both_dialects():

@@ -26,7 +26,7 @@ from easytime.runtime import (
     run_statements,
     step_events,
 )
-from easytime.semantics import analyze, decl_sequence
+from easytime.semantics import CategoryMap, analyze, decl_sequence
 
 ANA = Runner(1, "TAG001", "Novak", "Ana", "female", 1)
 MAJA = Runner(2, "TAG002", "Kovac", "Maja", "female", 2)
@@ -73,6 +73,14 @@ def test_init_race_warns_on_unmapped_category():
     assert warning.rfid == "TAG009"
     assert warning.variable == "ROUND1"
     assert "category 7" in warning.message
+
+
+def test_init_race_warns_only_where_a_map_with_arms_leaves_the_start_undefined():
+    # a default covers every category without an arm: the runner starts defined
+    race = init_race({"X": CategoryMap({1: 7}, 5), "Y": CategoryMap({1: 7}, None)}, [ANA, MAJA])
+    assert race.per_runner == {"TAG001": {"X": 7, "Y": 7}, "TAG002": {"X": 5, "Y": None}}
+    assert race.warnings == (
+        RaceWarning("TAG002", "Y", "runner 2 (TAG002): no value for category 2 in Y"),)
 
 
 def test_init_race_shares_one_dict_per_category_until_a_runners_first_event():

@@ -5,9 +5,21 @@ import random
 import pytest
 
 from conftest import declared_value, lacks_arm, program_source, random_var_decl
-from easytime.frontend import ProgramAst, VarDecl, parse_source
-from easytime.langdef import easytime_base, easytime_pp
-from easytime.runtime import Runner, init_race
+from easytime import frontend
+from easytime.frontend import ProgramAst, VarDecl, parse_source, pretty
+from easytime.langdef import (
+    EXTENDS,
+    LanguageFragment,
+    LexRule,
+    Modifier,
+    RuleGroup,
+    compose_language,
+    easytime_base,
+    easytime_pp,
+    prod,
+    validate_language,
+)
+from easytime.runtime import Event, Runner, init_race, step_events
 from easytime.semantics import (
     CategoryMap,
     DuplicateDeclarationError,
@@ -25,18 +37,17 @@ PROGRAM3_DECLS = (
 
 def test_plain_declaration_binds_constant_map():
     state = decl_meaning(PROGRAM3_DECLS[0], {})
-    assert state["ROUND1"] == CategoryMap.constant(50) == CategoryMap({}, 50)
+    assert state["ROUND1"] == CategoryMap({}, 50)
 
 
 def test_categorized_declaration_binds_arms():
     state = decl_meaning(PROGRAM3_DECLS[1], {})
-    assert state["ROUND2"] == CategoryMap.of_arms({1: 20, 2: 10}) \
-        == CategoryMap({1: 20, 2: 10}, None)
+    assert state["ROUND2"] == CategoryMap({1: 20, 2: 10}, None)
 
 
 def test_dynamic_declaration_binds_undefined_map():
     state = decl_meaning(PROGRAM3_DECLS[2], {})
-    assert state["PENALTY"] == CategoryMap.undefined() == CategoryMap({}, None)
+    assert state["PENALTY"] == CategoryMap({}, None)
 
 
 def test_program3_bindings_together():
@@ -47,17 +58,17 @@ def test_program3_bindings_together():
 
 
 def test_constant_map_answers_every_category():
-    values = CategoryMap.constant(50)
+    values = CategoryMap({}, 50)
     assert all(values.lookup(c) == 50 for c in range(101))
 
 
 def test_undefined_map_answers_nothing():
-    values = CategoryMap.undefined()
+    values = CategoryMap({}, None)
     assert all(values.lookup(c) is None for c in range(101))
 
 
 def test_arms_map_lookup():
-    values = CategoryMap.of_arms({1: 20, 2: 10})
+    values = CategoryMap({1: 20, 2: 10}, None)
     assert values.lookup(1) == 20
     assert values.lookup(2) == 10
     assert values.lookup(3) is None
@@ -66,7 +77,7 @@ def test_arms_map_lookup():
 def test_dynamic_flag_tracks_declaration_form():
     state = decl_sequence(PROGRAM3_DECLS, {})
     # only the dynamic declaration has neither arms nor a default
-    assert [state[n] == CategoryMap.undefined() for n in ("ROUND1", "ROUND2", "PENALTY")] == [
+    assert [state[n] == CategoryMap({}, None) for n in ("ROUND1", "ROUND2", "PENALTY")] == [
         False,
         False,
         True,
@@ -128,11 +139,6 @@ def test_decl_sequence_does_not_mutate_input_state():
     after = decl_sequence(PROGRAM3_DECLS[1:], before)
     assert before == env_copy
     assert list(after) == ["ROUND1", "ROUND2", "PENALTY"]
-
-
-def test_decl_meaning_refuses_an_unknown_declaration_kind():
-    with pytest.raises(ValueError, match="unknown declaration kind 'weird'"):
-        decl_meaning(VarDecl("X", "weird"), {})
 
 
 def test_analyze_binds_as_decl_sequence_does_on_random_lists_with_repeats():
@@ -248,3 +254,61 @@ def test_analyze_warns_once_for_an_unused_name_declared_twice():
     source = '1 manual "a.dat";\nvar X := 1;\nvar X := 2;\nvar Y := 3;\nmp[1] -> agnt[1] { (true) -> upd Y; }'
     _, diags = analyze(parse_source(source, easytime_pp()))
     assert [(d.code, d.line) for d in diags] == [("UnusedVariable", 2), ("DuplicateDeclaration", 3)]
+
+
+# A fourth declaration form, a categorized one with a default, brought by a fragment
+# over EasyTime++ with its handler and its source text and nothing else: semantics and
+# the runtime read what it means from its arms and its value.
+DEFAULTED = LanguageFragment(
+    name="EasyTime++ with defaults",
+    lexicon_mods=((Modifier(EXTENDS, "Keyword"), LexRule("Keyword", "else", 10)),),
+    rule_mods=((Modifier(EXTENDS, "Dec"), RuleGroup("Dec", (
+        prod("DEC", "var #Identifier := { CTGRS } else #Int ;", "dec_defaulted"),
+    ))),),
+)
+
+
+def _h_dec_defaulted(c, t):
+    return VarDecl(c[1].text, "defaulted", value=int(c[7].text), arms=tuple(reversed(c[4])),
+                   line=t.line, column=t.column)
+
+
+def _defaulted_source(decl):
+    arms = ", ".join(f"(category=={c}) -> {v}" for c, v in decl.arms)
+    return f"var {decl.name} := {{ {arms} }} else {decl.value};"
+
+
+def test_a_fragments_declaration_form_needs_a_handler_and_its_source_text_alone(monkeypatch):
+    monkeypatch.setitem(frontend.DEFAULT_HANDLERS, "dec_defaulted", _h_dec_defaulted)
+    monkeypatch.setitem(frontend.DECL_SOURCE, "defaulted", _defaulted_source)
+    lang = compose_language([easytime_pp()], DEFAULTED)
+    assert validate_language(lang) == []
+    source = (
+        "1 auto 10.0.0.1;\n"
+        "var LEFT := { (category==1) -> 3 } else 2;\n"
+        "var DONE := 0;\n"
+        "mp[1] -> agnt[1] {\n"
+        "  (true) -> dec LEFT;\n"
+        "  (LEFT == 0) -> upd DONE;\n"
+        "}\n"
+    )
+    ast = parse_source(source, lang)
+    assert ast.decls[0] == VarDecl("LEFT", "defaulted", value=2, arms=((1, 3),))
+    assert pretty(ast) == source
+    assert parse_source(pretty(ast), lang) == ast
+
+    state, diags = analyze(ast)
+    assert diags == []
+    assert state == {"LEFT": CategoryMap({1: 3}, 2), "DONE": CategoryMap({}, 0)}
+
+    roster = [Runner(1, "A", "Novak", "Ana", "female", 1),
+              Runner(2, "B", "Kos", "Ivo", "male", 2)]
+    race = init_race(state, roster)
+    assert race.warnings == ()
+    assert race.per_runner == {"A": {"LEFT": 3, "DONE": 0}, "B": {"LEFT": 2, "DONE": 0}}
+    warnings: list = []
+    events = [Event(1, "A", 10), Event(1, "B", 20), Event(1, "B", 30)]
+    assert [fired is not None for _, fired in step_events(race, ast, events, warnings)] \
+        == [True] * 3
+    assert warnings == []
+    assert race.per_runner == {"A": {"LEFT": 2, "DONE": 0}, "B": {"LEFT": 0, "DONE": 30}}
