@@ -11,8 +11,9 @@ fails a check, so the row loop names every fault.  ``write_results`` writes resu
 with the csv module; ``_export_race``, the export of ``run``, ``results`` and
 ``serve``, writes the same bytes from ready-made lines, one group's at a time, without
 building the tables, and writes the first half of two or more groups from a forked
-child where ``os.fork`` exists and no other thread runs; what the child did not write,
-this process writes.  The TCP listener lives in ``listener``, which ``serve`` and
+child where ``os.fork`` exists and no other thread runs, on CPUs other than this
+process's where the OS lets it place them; what the child did not write, this process
+writes.  The TCP listener lives in ``listener``, which ``serve`` and
 ``listen_auto`` import when they start listening, so only they load the socket modules.
 It serves many connections on one thread and hands events to its sink one at a time,
 in arrival order: ``serve`` runs it on the main thread, ``listen_auto`` on a thread of
@@ -315,7 +316,9 @@ def _export_race(race, out_dir: str | os.PathLike, rank_var: str | None = None,
     and no other thread runs: a forked child writes the first run, this process the
     rest, and it waits for the child before it returns or raises.  If the child fails,
     or a signal stops it, this process writes its groups too, as it writes all of them
-    if the fork fails.
+    if the fork fails.  Where ``os.sched_setaffinity`` exists and two or more CPUs are
+    allowed, the child runs on those other than the one this process ran on when it
+    forked, unless the OS refuses; this process's own CPUs are never changed.
     """
     groups = _groups(race, rank_var, group_by)
     os.makedirs(out_dir, exist_ok=True)
@@ -325,6 +328,11 @@ def _export_race(race, out_dir: str | os.PathLike, rank_var: str | None = None,
     rows = list(accumulate(len(runners) for _, runners in groups))
     cut = min(range(1, len(groups)), key=lambda end: abs(2 * rows[end - 1] - rows[-1]))
     first, rest = groups[:cut], groups[cut:]
+    # with load balancing off (cpuset.sched_load_balance 0) a task stays on the CPU it started
+    # on, so the child would share this process's: it moves to the others.  Pinning this
+    # process instead would move it too, onto a CPU that another process may be using
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    here = _running_cpu() if len(cpus) > 1 else None
     try:
         pid = os.fork()
     except OSError:  # no process to spare
@@ -334,6 +342,9 @@ def _export_race(race, out_dir: str | os.PathLike, rank_var: str | None = None,
         try:
             signal.signal(signal.SIGINT, signal.SIG_DFL)
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            if here is not None:
+                with contextlib.suppress(OSError):  # refused, the child writes where it is
+                    os.sched_setaffinity(0, cpus - {here})
             export(first)
             code = 0
         finally:
@@ -355,6 +366,16 @@ def _other_threads() -> bool:
     forking then would copy locks that those threads may hold."""
     threading = sys.modules.get("threading")
     return threading is not None and threading.active_count() > 1
+
+
+def _running_cpu() -> int | None:
+    """The CPU this process runs on, from Linux's ``/proc/self/stat``; None where that
+    cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])  # field 39, from the 3rd on
+    except (OSError, IndexError, ValueError):
+        return None
 
 
 def _reap(pid: int) -> int:

@@ -34,6 +34,21 @@ KEYWORDS = frozenset(
 )
 
 
+@pytest.fixture(autouse=True)
+def cpus_as_found():
+    """Fail a test that leaves this process allowed other CPUs than it found: an export
+    moves its forked child alone, never this process, on any path, a failed fork, a fork
+    that raises something else, a failed child and an interrupt included."""
+    if not hasattr(os, "sched_getaffinity"):
+        yield
+        return
+    affinity = os.sched_getaffinity  # the real one, whatever the test patches
+    cpus = affinity(0)
+    yield
+    if (left := affinity(0)) != cpus:
+        pytest.fail(f"the test left this process on CPUs {sorted(left)}, not {sorted(cpus)}")
+
+
 @pytest.fixture
 def fixtures() -> Path:
     return FIXTURES

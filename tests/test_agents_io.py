@@ -1087,3 +1087,69 @@ def test_export_runs_in_process_while_another_thread_runs(tmp_path, monkeypatch)
         thread.join()
     with pytest.raises(AssertionError, match="forked"):  # alone, it would fork
         _export_race(race, tmp_path / "export", "T", "category-gender")
+
+
+def log_placements(monkeypatch, log, place) -> None:
+    """Make ``os.sched_setaffinity(pid, cpus)`` append ``<this pid> <cpus>`` to the file
+    ``log``, which a forked child's lines reach too, then call ``place(pid, cpus)``."""
+    def logged(pid, cpus):
+        with open(log, "a", encoding="ascii") as handle:
+            handle.write(f"{os.getpid()} {' '.join(map(str, sorted(cpus)))}\n")
+        place(pid, cpus)
+    monkeypatch.setattr(os, "sched_setaffinity", logged)
+
+
+def placements(log) -> dict[int, list[set[int]]]:
+    """The CPU masks each process set, in order, as ``log_placements`` logged them."""
+    placed: dict[int, list[set[int]]] = {}
+    for line in log.read_text("ascii").splitlines():
+        pid, *cpus = map(int, line.split())
+        placed.setdefault(pid, []).append(set(cpus))
+    return placed
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the child is placed only where two or more CPUs are allowed")
+def test_the_export_child_runs_on_the_cpus_its_parent_did_not(tmp_path, monkeypatch):
+    cpus = os.sched_getaffinity(0)
+    log = tmp_path / "placements"
+    log_placements(monkeypatch, log, os.sched_setaffinity)
+    at_fork, running_cpu = [], agents_io._running_cpu
+    monkeypatch.setattr(agents_io, "_running_cpu", lambda: at_fork.append(running_cpu()) or at_fork[-1])
+    assert_export_equals_the_reference(grouped_race(), "T", "category-gender", tmp_path / "export",
+                                       tmp_path / "reference")
+    assert_no_child_left()
+    (here,) = at_fork
+    ((pid, placed),) = placements(log).items()  # the child's alone: this process keeps its CPUs
+    assert pid != os.getpid() and placed == [cpus - {here}] and here in cpus
+
+
+@pytest.mark.parametrize("host", ["one CPU", "placement refused", "no sched_setaffinity", "no /proc"])
+def test_an_export_whose_child_cannot_be_placed_still_forks(tmp_path, monkeypatch, host):
+    log = tmp_path / "placements"
+    if host == "no sched_setaffinity":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        def refuse(pid, cpus):
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+        log_placements(monkeypatch, log, refuse if host == "placement refused" else os.sched_setaffinity)
+    if host == "no /proc":  # as where it is not mounted
+        def open_without_proc(path, *args, **kwargs):
+            if str(path).startswith("/proc/"):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            return open(path, *args, **kwargs)
+        monkeypatch.setattr(agents_io, "open", open_without_proc, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if host == "one CPU" else {0, 1},
+                        raising=False)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert_export_equals_the_reference(grouped_race(), "T", "category-gender", tmp_path / "export",
+                                       tmp_path / "reference")
+    assert_no_child_left()
+    assert forks == [1]
+    placed = placements(log) if log.exists() else {}
+    if host == "placement refused":  # the child tried, then wrote where it was
+        ((pid, _),) = placed.items()
+        assert pid != os.getpid()
+    else:  # with one CPU, or not knowing its own, the export tries no placement
+        assert placed == {}
